@@ -7,7 +7,8 @@ model1d     one-dimensional comparison ODE in phase/amplitude form
 comparison  certificate construction for the gradient-comparison bound
 bochner     finite-difference differential-operator laboratory
 spectral1d  discrete p-Laplacian eigensolvers on weighted 1D domains
-cli         command-line front end and verification suite
+verify      the 14-criterion acceptance suite
+cli         command-line front end
 """
 
 from ._util import spow
@@ -38,7 +39,6 @@ from .model1d import (
     ModelProblem,
     ModelSolution,
     PParams,
-    PrueferState,
     delta,
     delta_scan,
     integrate_phase,
@@ -87,7 +87,6 @@ __all__ = [
     "PParams",
     "ModelProblem",
     "ModelSolution",
-    "PrueferState",
     "solve_model",
     "delta",
     "m_max",

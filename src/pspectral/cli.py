@@ -32,9 +32,17 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
+from ._util import json_safe
 from .bochner import bochner_residual, catalog, p_laplacian_at
 from .comparison import build_certificate, kappa_check
-from .model1d import INFINITY, ModelProblem, PParams, delta_scan, solve_model
+from .model1d import (
+    CERTIFICATE_MAX_STEP,
+    INFINITY,
+    ModelProblem,
+    PParams,
+    delta_scan,
+    solve_model,
+)
 from .ptrig import arctan_p, cos_p, inv_sin_p, pi_p, pi_p_quadrature, sin_p, tan_p
 from .spectral1d import (
     bounds_table,
@@ -64,31 +72,8 @@ class _Usage(Exception):
     pass
 
 
-def _sanitize(obj):
-    """JSON-safe copy: numpy scalars/arrays to python, non-finite floats
-    to strings."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    return obj
-
-
 def _json_text(payload) -> str:
-    return json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(json_safe(payload), indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header, rows) -> str:
@@ -179,11 +164,11 @@ def _cmd_ptrig(args) -> int:
 
 # ---------------------------------------------------------------- model
 
-def _solve_from_args(args):
+def _solve_from_args(args, max_step=None):
     lam = args.lam if args.lam is not None else args.p - 1.0
     prob = ModelProblem(PParams(p=args.p, n_dim=args.n, lam=lam),
                         a=_parse_a(args.a))
-    return solve_model(prob, tol=_env_tol(args.tol))
+    return solve_model(prob, tol=_env_tol(args.tol), max_step=max_step)
 
 
 def _cmd_model(args) -> int:
@@ -230,7 +215,7 @@ def _cmd_delta_scan(args) -> int:
 # -------------------------------------------------------------- certify
 
 def _cmd_certify(args) -> int:
-    sol = _solve_from_args(args)
+    sol = _solve_from_args(args, max_step=CERTIFICATE_MAX_STEP)
     eps = args.epsilon if args.epsilon is not None else 1e-3 * sol.delta
     cert = build_certificate(sol, epsilon=eps, offset=args.offset,
                              a3_tol=args.a3_tol)

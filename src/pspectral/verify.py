@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._util import spow
+from ._util import json_safe, spow
 from .bochner import (
     ScalarField,
     bochner_residual,
@@ -30,7 +30,13 @@ from .bochner import (
     p_laplacian_at,
 )
 from .comparison import build_certificate, kappa_check
-from .model1d import INFINITY, ModelProblem, PParams, solve_model
+from .model1d import (
+    CERTIFICATE_MAX_STEP,
+    INFINITY,
+    ModelProblem,
+    PParams,
+    solve_model,
+)
 from .ptrig import pi_p, pi_p_quadrature, sin_cos_p
 from .spectral1d import (
     E_profile,
@@ -86,9 +92,7 @@ class Cache:
         key = (p, n, a)
         if key not in self._models:
             prob = ModelProblem(PParams(p=p, n_dim=n, lam=p - 1.0), a=a)
-            # max_step keeps the dense trajectory accurate enough for the
-            # finite-difference probes of the certificate criteria
-            self._models[key] = solve_model(prob, max_step=2e-3)
+            self._models[key] = solve_model(prob, max_step=CERTIFICATE_MAX_STEP)
         return self._models[key]
 
     def certificate(self, p: float, n: float, a: float):
@@ -495,18 +499,5 @@ def format_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True,
-                      default=_jsonable) + "\n"
+    return json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"

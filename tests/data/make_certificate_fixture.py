@@ -17,6 +17,7 @@ import numpy as np
 
 from pspectral import ModelProblem, PParams, solve_model
 from pspectral.comparison import build_certificate
+from pspectral.model1d import CERTIFICATE_MAX_STEP
 
 TOL = 1e-8
 COLS = ["t", "X", "f", "eta_of_f", "beta_of_f", "y1", "y2", "kappa",
@@ -32,8 +33,8 @@ def build(max_step, rtol, atol):
 
 
 def main():
-    cert = build(2e-3, 1e-12, 1e-13)
-    fine = build(1e-3, 1e-13, 1e-14)
+    cert = build(CERTIFICATE_MAX_STEP, 1e-12, 1e-13)
+    fine = build(CERTIFICATE_MAX_STEP / 2.0, 1e-13, 1e-14)
     worst = 0.0
     for c in ("X", "f", "kappa", "slack1", "slack2"):
         dev = np.max(np.abs(cert.grid[c] - fine.grid[c])

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pspectral
+from pspectral import verify
 from pspectral.cli import main
 
 
@@ -15,6 +21,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def run_module(*argv):
+    """Run `python -m pspectral` in a fresh interpreter, so warnings and
+    tracebacks reach stderr as a user would see them."""
+    src = str(pathlib.Path(pspectral.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "pspectral", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def parse_csv(text):
@@ -120,6 +138,28 @@ def test_certify_verdict_failure_exit_code(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["verdict"]["a3_small"] is False
+
+
+def test_certify_uses_certificate_grade_step(capsys):
+    # at the default step the dense-output error pushes max|a3| to 2e-4
+    code, out, _ = run_cli(capsys, "certify", "--p", "1.2", "--n", "3",
+                           "--a", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"]["a3_small"] is True
+    assert doc["all_ok"] is True
+
+
+def test_certify_rejects_n_at_most_one():
+    code, out, err = run_module("certify", "--p", "2", "--n", "1", "--a", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+    # the model itself is defined at n = 1
+    code, _, err = run_module("model", "--p", "2", "--n", "1", "--a", "1")
+    assert code == 0
+    assert err == ""
 
 
 # ------------------------------------------------------------ bochner
@@ -259,3 +299,12 @@ def test_verify_quick_passes_and_round_trips(capsys):
     assert doc["passed"] is True
     assert len(doc["criteria"]) == 14
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_report_json_non_finite_is_valid_json():
+    def refuse(name):
+        raise ValueError(f"bare {name} in JSON output")
+
+    text = verify.report_json({"x": float("nan"), "y": [np.inf, -np.inf]})
+    doc = json.loads(text, parse_constant=refuse)
+    assert doc == {"x": "nan", "y": ["inf", "-inf"]}

@@ -21,6 +21,7 @@ from pspectral import (
     spow,
     tan_p,
 )
+from pspectral.model1d import CERTIFICATE_MAX_STEP
 from pspectral.comparison import (
     X_of,
     a3_residual,
@@ -35,7 +36,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture(scope="module")
 def ref_sol():
-    return solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0), max_step=2e-3)
+    return solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0),
+                       max_step=CERTIFICATE_MAX_STEP)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +69,8 @@ def test_X_of_basic(ref_sol):
 def test_X_derivative_law():
     # d/dt X^(p-1) = (p-1) lam^(1/(p-1)) |X|^(p-2) - T X^(p-1) + |X|^(2p-2)
     for p, n, a, lam in [(2.0, 3, 1.0, 1.0), (2.5, 2, 0.5, 1.5)]:
-        sol = solve_model(ModelProblem(PParams(p, n, lam), a), max_step=2e-3)
+        sol = solve_model(ModelProblem(PParams(p, n, lam), a),
+                          max_step=CERTIFICATE_MAX_STEP)
         lam1 = lam ** (1.0 / (p - 1.0))
         ts = np.linspace(sol.a_eff + 0.15 * sol.delta, sol.b - 0.15 * sol.delta, 21)
         ts = ts[np.abs(ts - sol.t0) > 0.05 * sol.delta]
@@ -155,7 +158,8 @@ def test_certificate_structure(ref_cert, ref_sol):
 
 def test_certificate_parameter_sweep():
     for p, n, a, lam in [(1.5, 2, 0.1, 0.5), (3.0, 3, 0.1, 2.0), (3.0, 2, 10.0, 2.0)]:
-        sol = solve_model(ModelProblem(PParams(p, n, lam), a), max_step=2e-3)
+        sol = solve_model(ModelProblem(PParams(p, n, lam), a),
+                          max_step=CERTIFICATE_MAX_STEP)
         cert = build_certificate(sol)
         assert cert.all_ok, (p, n, a, lam, cert.verdict)
 
@@ -167,6 +171,10 @@ def test_certificate_validation(ref_sol, free_sol):
         build_certificate(ref_sol, epsilon=ref_sol.delta)
     with pytest.raises(ValueError):
         build_certificate(ref_sol, offset=-1.0)
+    # the slopes divide by n-1: n = 1 is rejected before any integration
+    line = solve_model(ModelProblem(PParams(2.0, 1, 1.0), 1.0))
+    with pytest.raises(ValueError, match="n > 1"):
+        build_certificate(line)
 
 
 def test_kappa_check_report(ref_cert):

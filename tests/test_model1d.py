@@ -24,6 +24,7 @@ from pspectral import (
     solve_model,
     spow,
 )
+from pspectral.model1d import _DEFAULT_H0, _solve_phase
 
 from oracles import bessel_case_n2, solve_divergence_form, spherical_case_n3
 
@@ -91,19 +92,25 @@ def test_divergence_form_cross_check(p, n, a, lam):
     assert abs(sol.m_max - m_ref) < 2e-6
 
 
+def _direct(p, n, a, alpha, h0=_DEFAULT_H0):
+    """The phase integrator run at the requested alpha (no rescaling)."""
+    return _solve_phase(p, n, a, alpha, 1e-12, 1e-13, None, h0)
+
+
 def test_scale_covariance():
-    # solving at lam directly must agree with the internal route that
-    # solves at lam = p-1 and rescales time by alpha
+    # integrating at the requested lam directly must agree with
+    # solve_model, which solves at lam = p-1 and rescales time by alpha
     for p, n, a, lam in [(2.5, 2, 0.4, 3.7), (1.5, 3, 0.0, 0.2)]:
-        prob = ModelProblem(PParams(p, n, lam), a)
-        s1 = solve_model(prob)
-        s2 = solve_model(prob, _normalize=False)
-        assert s1.diagnostics["normalized"] and not s2.diagnostics["normalized"]
-        assert abs(s1.b - s2.b) < 1e-8
-        assert abs(s1.t0 - s2.t0) < 1e-8
-        assert abs(s1.m_max - s2.m_max) < 1e-8
-        ts = np.linspace(s1.t0, min(s1.b, s2.b), 20)
-        assert np.max(np.abs(s1.w(ts) - s2.w(ts))) < 1e-8
+        pp = PParams(p, n, lam)
+        s1 = solve_model(ModelProblem(pp, a))
+        b, t0, log_m, dense = _direct(p, n, a, pp.alpha)
+        assert abs(s1.b - b) < 1e-8
+        assert abs(s1.t0 - t0) < 1e-8
+        assert abs(s1.m_max - math.exp(log_m)) < 1e-8
+        ts = np.linspace(s1.t0, min(s1.b, b), 20)
+        phi, log_e = dense.sol(ts)
+        # w = e sin_p(phi)/alpha, and the direct log e starts at 0 = log(e(a)/alpha)
+        assert np.max(np.abs(s1.w(ts) - np.exp(log_e) * sin_p(phi, p))) < 1e-8
 
 
 def test_infinity_closed_form():
@@ -225,6 +232,24 @@ def test_w_inverse_roundtrip():
     assert sol.w_inverse(sol.m_max + 1e-12) == sol.b
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("a", [0.0, 0.7])
+def test_w_inverse_bracketed_newton(p, a):
+    sol = solve_model(ModelProblem(PParams(p, 3, p - 1.0), a))
+    lo, hi = sol.a_eff, sol.b
+    # offsets down to 1e-12 from both ends, where wdot vanishes
+    ends = np.logspace(-12, -1, 23)
+    ts = np.concatenate([lo + ends, np.linspace(lo, hi, 200)[1:-1], hi - ends])
+    s = sol.w(ts)
+    back = sol.w_inverse(s)
+    assert np.all((back >= lo) & (back <= hi))
+    assert np.max(np.abs(sol.w(back) - s)) <= 1e-12
+    # the inverse is well conditioned in t only away from the ends
+    mid = np.abs(sol.wdot(ts)) > 1e-2
+    assert np.max(np.abs(back[mid] - ts[mid])) < 1e-12
+    assert isinstance(sol.w_inverse(float(s[50])), float)
+
+
 def test_window_shape():
     sol = solve_model(ModelProblem(PParams(3.0, 2, 1.0), 1.2))
     assert abs(float(sol.w(sol.a_eff)) + 1.0) < 1e-12
@@ -239,17 +264,17 @@ def test_window_shape():
     assert np.all(np.diff(w) > 0)
     phi = sol.trajectory["phi"]
     assert np.all(np.diff(phi) > 0)
-    st = sol.initial_state()
-    assert st.t == sol.a_eff
-    assert abs(st.phi + 0.5 * pi_p(3.0)) < 1e-15
-    assert abs(st.log_e - math.log(sol.problem.params.alpha)) < 1e-15
+    assert abs(float(sol.phi(sol.a_eff)) + 0.5 * pi_p(3.0)) < 1e-15
+    assert abs(float(sol.log_e(sol.a_eff))
+               - math.log(sol.problem.params.alpha)) < 1e-15
 
 
 def test_zero_start_halving():
-    sol = solve_model(
-        ModelProblem(PParams(1.5, 3, 1.0), 0.0), check_start=True
-    )
-    assert sol.diagnostics["start_halving_shift"] < 1e-9
+    pp = PParams(1.5, 3, 1.0)
+    b_full = _direct(1.5, 3, 0.0, pp.alpha)[0]
+    b_half = _direct(1.5, 3, 0.0, pp.alpha, h0=_DEFAULT_H0 / 2.0)[0]
+    assert abs(b_half - b_full) < 1e-9
+    sol = solve_model(ModelProblem(pp, 0.0))
     # the limiting value at t = 0 is still reported
     assert abs(float(sol.w(0.0)) + 1.0) < 1e-9
 
