@@ -233,8 +233,7 @@ def _cmd_certify(args) -> int:
         "verdict": dict(cert.verdict),
         "all_ok": cert.all_ok,
         "kappa": {k: kk[k] for k in
-                  ("kappa_positive", "kappa_t0_rel_err", "max_rel_deviation",
-                   "zero_locus_max_rel_err", "constrained_sign_ok")},
+                  ("kappa_positive", "kappa_t0_rel_err", "max_rel_deviation")},
         "grid_size": len(cert.grid["t"]),
     }
     if args.grid_out:

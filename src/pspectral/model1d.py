@@ -116,7 +116,8 @@ class ModelSolution:
     trajectory : dict   arrays t, phi, e, w, wdot sampled along the orbit
     diagnostics : dict  solver metadata (nfev, closed_form)
 
-    Callable evaluators: w(t), wdot(t), phi(t), e(t), w_inverse(s).
+    Callable evaluators: state(t) = (w(t), wdot(t)), w(t), wdot(t), phi(t),
+    e(t), w_inverse(s).
     Instances are immutable by convention once constructed.
     """
 
@@ -142,12 +143,9 @@ class ModelSolution:
         self.diagnostics = diagnostics
         ts = np.linspace(self.a_eff, self.b, _N_SAMPLES)
         ts = np.unique(np.concatenate([ts, [self.t0]]))
+        w, wdot = self.state(ts)
         self.trajectory = {
-            "t": ts,
-            "phi": self.phi(ts),
-            "e": self.e(ts),
-            "w": self.w(ts),
-            "wdot": self.wdot(ts),
+            "t": ts, "phi": self.phi(ts), "e": self.e(ts), "w": w, "wdot": wdot,
         }
 
     # -- evaluators ------------------------------------------------------
@@ -163,15 +161,19 @@ class ModelSolution:
     def e(self, t):
         return np.exp(self._log_e_fn(t))
 
+    def state(self, t):
+        """The pair (w(t), wdot(t)) from one phase, one amplitude and one
+        sin_cos_p evaluation; t may be a scalar or an array."""
+        pp = self.problem.params
+        s, c = sin_cos_p(self._phi_fn(t), pp.p)
+        e = np.exp(self._log_e_fn(t))
+        return e * s / pp.alpha, e * c
+
     def w(self, t):
-        p = self.problem.params
-        s, _ = sin_cos_p(self._phi_fn(t), p.p)
-        return np.exp(self._log_e_fn(t)) * s / p.alpha
+        return self.state(t)[0]
 
     def wdot(self, t):
-        p = self.problem.params
-        _, c = sin_cos_p(self._phi_fn(t), p.p)
-        return np.exp(self._log_e_fn(t)) * c
+        return self.state(t)[1]
 
     def phase_rate(self, t):
         """phi'(t) evaluated from the right-hand side of the phase equation."""
@@ -223,8 +225,8 @@ class ModelSolution:
             if act.size == 0:
                 break
             tt, sv = t[act], target[act]
-            r = np.asarray(self.w(tt)) - sv
-            d = np.asarray(self.wdot(tt))
+            w, d = self.state(tt)
+            r = w - sv
             t_lo[act] = np.where(r < 0.0, tt, t_lo[act])
             t_hi[act] = np.where(r > 0.0, tt, t_hi[act])
             with np.errstate(divide="ignore", invalid="ignore"):

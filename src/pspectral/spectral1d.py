@@ -125,22 +125,22 @@ class EigenResult:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options for the variational backend.
+    """Options for the variational backend: seed fixes the random
+    perturbation of the start vector."""
 
-    The descent stops on a relative Rayleigh-quotient stall below tol
-    lasting stall_window accepted steps, on step collapse, or at the
-    iteration caps (coarsest / intermediate / finest hierarchy level).
-    """
-
-    tol: float = 1e-10
-    stall_window: int = 50
-    max_iter: int = 1_000_000
-    level_caps: tuple = (10_000, 5_000, 6_000)
-    coarsest: int = 33
     seed: int = 0
-    step0: float = 1.0
-    hierarchical: bool = True
-    noise: float = 0.01
+
+
+# The descent on each mesh level stops on a relative Rayleigh-quotient
+# stall below _TOL lasting _STALL_WINDOW accepted steps, on step
+# collapse, or at the level's iteration cap (coarsest / intermediate /
+# finest level of the hierarchy, whose coarsest mesh has at most
+# 2 * _COARSEST nodes).  _STEP0 is the initial line-search step.
+_TOL = 1e-10
+_STALL_WINDOW = 50
+_LEVEL_CAPS = (10_000, 5_000, 6_000)
+_COARSEST = 33
+_STEP0 = 1.0
 
 
 def build_domain(kind: str, N: int, *, L: float | None = None,
@@ -249,8 +249,7 @@ def _rq_raw(dom: Domain1D, v: np.ndarray, p: float) -> float:
     return num / den
 
 
-def _descend(dom: Domain1D, v: np.ndarray, p: float, opts: SolverOptions,
-             cap: int):
+def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
     """Projected preconditioned subgradient descent on one mesh level.
 
     Returns (values, rq, iterations, stopped_by) with stopped_by one of
@@ -259,7 +258,7 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, opts: SolverOptions,
     v, _ = _project(dom, v, p)
     lam = _rq_raw(dom, v, p)
     precond = np.maximum(dom.weights, 1e-3 * dom.weights.mean())
-    step = opts.step0
+    step = _STEP0
     stall = 0
     it = 0
     stopped = "cap"
@@ -289,8 +288,8 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, opts: SolverOptions,
         rel = (lam - lam2) / max(abs(lam), 1e-300)
         v, lam = v2, lam2
         step *= 1.3
-        stall = stall + 1 if rel < opts.tol else 0
-        if stall >= opts.stall_window:
+        stall = stall + 1 if rel < _TOL else 0
+        if stall >= _STALL_WINDOW:
             stopped = "stall"
             break
     return v, lam, it, stopped
@@ -354,19 +353,21 @@ def _finalize(dom: Domain1D, v: np.ndarray, p: float, lam: float,
 
 def solve_eigen_variational(domain: Domain1D, p: float,
                             opts: SolverOptions | None = None) -> EigenResult:
-    """Minimize the Rayleigh quotient over the zero-p-mean set."""
+    """Minimize the Rayleigh quotient over the zero-p-mean set.
+
+    converged is False when any level of the hierarchy stopped at its
+    iteration cap; diagnostics["levels"] records each level's stop.
+    """
     if not (p > 1.0 and np.isfinite(p)):
         raise ValueError("p must be finite and exceed 1")
     opts = opts or SolverOptions()
     rng = np.random.default_rng(opts.seed)
-    chain = (_coarse_chain(domain.N, opts.coarsest)
-             if opts.hierarchical else [domain.N])
+    chain = _coarse_chain(domain.N, _COARSEST)
     level_info = []
     total = 0
     prev = None
     v = None
     lam = np.inf
-    stopped = "cap"
     for i, Ni in enumerate(chain):
         dom = _subdomain(domain, Ni) if Ni != domain.N else domain
         if i == 0:
@@ -374,18 +375,17 @@ def solve_eigen_variational(domain: Domain1D, p: float,
         else:
             v = _prolong(prev, dom, v)
         if i == 0:
-            cap = opts.level_caps[0]
+            cap = _LEVEL_CAPS[0]
         elif Ni < domain.N:
-            cap = opts.level_caps[1]
+            cap = _LEVEL_CAPS[1]
         else:
-            cap = opts.level_caps[2]
-        cap = min(cap, opts.max_iter - total)
-        v, lam, it, stopped = _descend(dom, v, p, opts, cap)
+            cap = _LEVEL_CAPS[2]
+        v, lam, it, stopped = _descend(dom, v, p, cap)
         total += it
         level_info.append({"N": Ni, "iterations": it, "rq": lam,
                            "stopped_by": stopped})
         prev = dom
-    converged = stopped in ("stall", "step_collapse", "gradient_zero")
+    converged = all(lv["stopped_by"] != "cap" for lv in level_info)
     return _finalize(domain, v, p, lam, "variational", total, converged,
                      {"levels": level_info, "options": opts})
 

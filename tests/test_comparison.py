@@ -185,11 +185,8 @@ def test_kappa_check_report(ref_cert):
     assert abs(rep["kappa_t0_exact"] - 3.0) < 1e-12  # n(p-1)^2 lam^(1/(p-1))
     assert rep["max_rel_deviation"] < 1e-4
     assert rep["n_fd_points"] > 100
-    # the reduced constraint-set derivative is an exact algebraic
-    # consequence of the trajectory laws: verified at sampled roots
-    assert rep["n_locus_points"] > 0
-    assert rep["zero_locus_max_rel_err"] < 1e-6
-    assert rep["constrained_sign_ok"]
+    # the zero-locus reduction is proved in test_kappa_locus
+    assert "zero_locus_max_rel_err" not in rep
 
 
 def test_a3_residual_small(ref_cert, ref_sol):
@@ -199,6 +196,32 @@ def test_a3_residual_small(ref_cert, ref_sol):
     assert abs(a3_residual(ref_sol, ref_sol.t0)) < 1e-6
     with pytest.raises(ValueError):
         a3_residual(ref_sol, ref_sol.a_eff)
+
+
+def test_a3_residual_array_matches_scalar(ref_sol):
+    # one stacked stencil evaluation against per-point calls, including
+    # points near both ends where the step shrinks to (t-a)/3, (b-t)/3
+    a, b = ref_sol.a_eff, ref_sol.b
+    ts = np.concatenate([np.linspace(a + 1e-6, b - 1e-6, 41),
+                         [a + 3e-5, ref_sol.t0, b - 3e-5]])
+    got = a3_residual(ref_sol, ts)
+    assert got.shape == ts.shape
+    ref = np.array([a3_residual(ref_sol, float(t)) for t in ts])
+    assert np.max(np.abs(got - ref)) <= 1e-11
+    assert isinstance(a3_residual(ref_sol, ref_sol.t0), float)
+    with pytest.raises(ValueError):
+        a3_residual(ref_sol, np.array([ref_sol.t0, ref_sol.a_eff]))
+
+
+def test_f_dense_arrays_and_blowup(ref_cert, ref_sol):
+    g = ref_cert.grid
+    np.testing.assert_array_equal(ref_cert.f_dense(g["t"]), g["f"])
+    assert isinstance(ref_cert.f_dense(ref_sol.t0), float)
+    # past the integrated window on either side f is NaN
+    out = ref_cert.f_dense(np.array([ref_sol.a_eff + 1e-9, ref_sol.t0,
+                                     ref_sol.b - 1e-9]))
+    assert math.isnan(out[0]) and math.isnan(out[2])
+    assert math.isfinite(out[1])
 
 
 def test_a3_residual_closed_form(free_sol):

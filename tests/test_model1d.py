@@ -20,6 +20,7 @@ from pspectral import (
     integrate_phase,
     m_max,
     pi_p,
+    sin_cos_p,
     sin_p,
     solve_model,
     spow,
@@ -230,6 +231,24 @@ def test_w_inverse_roundtrip():
     assert sol.w_inverse(-2.0) == sol.a_eff
     assert sol.w_inverse(2.0) == sol.b
     assert sol.w_inverse(sol.m_max + 1e-12) == sol.b
+
+
+@pytest.mark.parametrize("a", [0.4, INFINITY])
+def test_state_matches_w_and_wdot(a):
+    # bit for bit against the separate evaluators and against
+    # w = e sin_p(phi)/alpha, wdot = e cos_p(phi) built from phi and log e
+    sol = solve_model(ModelProblem(PParams(2.5, 2, 1.0), a))
+    alpha = sol.problem.params.alpha
+    for t in (0.5 * (sol.a_eff + sol.b),
+              np.linspace(sol.a_eff, sol.b, 37)):
+        w, wdot = sol.state(t)
+        s, c = sin_cos_p(sol.phi(t), 2.5)
+        e = np.exp(sol.log_e(t))
+        np.testing.assert_array_equal(w, e * s / alpha)
+        np.testing.assert_array_equal(wdot, e * c)
+        np.testing.assert_array_equal(w, sol.w(t))
+        np.testing.assert_array_equal(wdot, sol.wdot(t))
+        assert np.ndim(w) == np.ndim(t) and np.ndim(wdot) == np.ndim(t)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -29,6 +29,7 @@ from pspectral import (
     solve_eigen_variational,
     solve_model,
 )
+from pspectral import spectral1d
 from pspectral._util import spow
 
 
@@ -164,6 +165,22 @@ def test_variational_seed_determinism():
     b = solve_eigen_variational(dom, 2.5, SolverOptions(seed=3))
     assert a.lam == b.lam
     np.testing.assert_array_equal(a.u.values, b.u.values)
+
+
+def test_variational_converged_counts_every_level(monkeypatch):
+    # the chain for N = 100 is [50, 100]; the coarse level stalls after
+    # ~6.5k steps, so a 6000 cap stops it while the warm-started finest
+    # level still stalls: converged must be False all the same
+    dom = build_domain("segment", 100, x0=0.0, x1=1.0)
+    monkeypatch.setattr(spectral1d, "_LEVEL_CAPS", (6000, 6000, 100_000))
+    res = solve_eigen_variational(dom, 1.5)
+    stops = [lv["stopped_by"] for lv in res.diagnostics["levels"]]
+    assert stops == ["cap", "stall"]
+    assert not res.converged
+    monkeypatch.setattr(spectral1d, "_LEVEL_CAPS", (2, 2, 2))
+    res = solve_eigen_variational(dom, 1.5)
+    assert all(lv["stopped_by"] == "cap" for lv in res.diagnostics["levels"])
+    assert not res.converged
 
 
 def test_variational_convergence_order():
