@@ -11,7 +11,6 @@ verify      the 14-criterion acceptance suite
 cli         command-line front end
 """
 
-from ._util import spow
 from .bochner import (
     CatalogField,
     DiffReport,
@@ -27,10 +26,7 @@ from .bochner import (
 from .comparison import (
     Certificate,
     PsiProfile,
-    X_of,
-    a3_residual,
     build_certificate,
-    eta_beta,
     kappa_check,
     reconstruct_psi,
 )
@@ -39,10 +35,7 @@ from .model1d import (
     ModelProblem,
     ModelSolution,
     PParams,
-    delta,
     delta_scan,
-    integrate_phase,
-    m_max,
     solve_model,
 )
 from .spectral1d import (
@@ -82,23 +75,16 @@ __all__ = [
     "inv_sin_p",
     "tan_p",
     "arctan_p",
-    "spow",
     "INFINITY",
     "PParams",
     "ModelProblem",
     "ModelSolution",
     "solve_model",
-    "delta",
-    "m_max",
     "delta_scan",
-    "integrate_phase",
     "Certificate",
     "PsiProfile",
-    "X_of",
-    "eta_beta",
     "build_certificate",
     "kappa_check",
-    "a3_residual",
     "reconstruct_psi",
     "ScalarField",
     "DiffReport",

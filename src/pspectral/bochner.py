@@ -24,7 +24,7 @@ transparent per-point fallback otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 DEFAULT_STEP = 1e-2
+# Relative slack of hessian_inequality_check's lhs >= rhs: rounding only.
+_HESSIAN_TOL = 1e-10
+# Largest relative eigen-equation residual eigen_estimate_check accepts as
+# "the field is an eigenfunction here", measured with its own stencils.
+_EIGEN_PRE_TOL = 1e-5
 
 _W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # f' * h, order 4
 _W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # f'' * h^2, order 4
@@ -355,14 +360,13 @@ def hessian_inequality_check(
     p: float,
     m: float,
     step: float = DEFAULT_STEP,
-    tol: float = 1e-10,
 ):
     """Dimensional Hessian lower bound at a point; m >= dim is the free
     dimension parameter.
 
     lhs = |g|^(2p-4) (|H|^2 + p(p-2) A_u^2)
     rhs = (Dp u)^2/m + m/(m-1) (Dp u/m - (p-1)|g|^(p-2) A_u)^2
-    ok  = lhs >= rhs - tol * max(1, |lhs|, |rhs|)
+    ok  = lhs >= rhs - 1e-10 * max(1, |lhs|, |rhs|)
     """
     if m < field.dim or m <= 1.0:
         raise ValueError(f"m must satisfy m >= dim and m > 1, got {m!r}")
@@ -376,7 +380,7 @@ def hessian_inequality_check(
     rhs = dpu * dpu / m + m / (m - 1.0) * (
         dpu / m - (p - 1.0) * gn ** (p - 2.0) * a
     ) ** 2
-    ok = bool(lhs >= rhs - tol * max(1.0, abs(lhs), abs(rhs)))
+    ok = bool(lhs >= rhs - _HESSIAN_TOL * max(1.0, abs(lhs), abs(rhs)))
     return lhs, rhs, ok
 
 
@@ -388,12 +392,11 @@ def eigen_estimate_check(
     lam: float,
     step: float = DEFAULT_STEP,
     tol: float = 1e-8,
-    pre_tol: float = 1e-5,
 ):
     """Eigenfunction form of the Hessian bound.
 
     Requires the field to satisfy Dp u = -lam u^(p-1) at the point
-    (relative residual <= pre_tol, measured with the same stencils);
+    (relative residual <= 1e-5, measured with the same stencils);
     a violation raises ValueError carrying the measured residual.
 
     lhs = (1/p) P^II_u(|grad u|^p)
@@ -410,10 +413,10 @@ def eigen_estimate_check(
     dpu = gn ** (p - 2.0) * (float(np.trace(h_)) + (p - 2.0) * a)
     target = -lam * spow(u0, p - 1.0)
     res = abs(dpu - target) / max(1.0, abs(target))
-    if res > pre_tol:
+    if res > _EIGEN_PRE_TOL:
         raise ValueError(
             f"field is not an eigenfunction at this point: "
-            f"measured eigen-residual {res:.2e} exceeds {pre_tol:.1e}"
+            f"measured eigen-residual {res:.2e} exceeds {_EIGEN_PRE_TOL:.1e}"
         )
     up1 = spow(u0, p - 1.0)
     rhs = (

@@ -15,8 +15,6 @@ Output goes to stdout or --out as CSV (header row, minimal quoting) or
 JSON (stable key order); identical configuration and seed produce
 byte-identical bytes.  Exit codes: 0 success, 1 verdict or run failure
 (certify/verify/solver errors), 2 usage error with a one-line message.
-The environment variable PSPECTRAL_TOL overrides the default --tol of
-the ODE-backed subcommands.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +34,6 @@ from .bochner import bochner_residual, catalog, p_laplacian_at
 from .comparison import build_certificate, kappa_check
 from .model1d import (
     CERTIFICATE_MAX_STEP,
-    INFINITY,
     ModelProblem,
     PParams,
     delta_scan,
@@ -53,19 +49,6 @@ from .spectral1d import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _env_tol(fallback: float) -> float:
-    raw = os.environ.get("PSPECTRAL_TOL")
-    if raw is None:
-        return fallback
-    try:
-        val = float(raw)
-    except ValueError:
-        raise _Usage(f"PSPECTRAL_TOL is not a number: {raw!r}")
-    if not (0.0 < val < 1.0):
-        raise _Usage(f"PSPECTRAL_TOL out of range (0, 1): {raw!r}")
-    return val
 
 
 class _Usage(Exception):
@@ -106,6 +89,14 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _output(args, payload, header, rows):
+    """Emit payload as JSON, or header and rows as CSV, per --format."""
+    if args.format == "json":
+        _emit(_json_text(payload), args.out)
+    else:
+        _emit(_csv_text(header, rows), args.out)
+
+
 def _parse_floats(raw: str, flag: str):
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -114,8 +105,6 @@ def _parse_floats(raw: str, flag: str):
 
 
 def _parse_a(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return INFINITY
     try:
         return float(raw)
     except ValueError:
@@ -140,12 +129,8 @@ def _cmd_ptrig(args) -> int:
         quad = pi_p_quadrature(p)
         payload = {"p": p, "pi_p": closed, "quadrature": quad,
                    "rel_diff": abs(closed - quad) / closed}
-        if args.format == "json":
-            _emit(_json_text(payload), args.out)
-        else:
-            _emit(_csv_text(["p", "pi_p", "quadrature", "rel_diff"],
-                            [[p, closed, quad, payload["rel_diff"]]]),
-                  args.out)
+        header = ["p", "pi_p", "quadrature", "rel_diff"]
+        _output(args, payload, header, [[payload[k] for k in header]])
         return 0
     try:
         lo, hi, num = args.grid.split(":")
@@ -154,11 +139,8 @@ def _cmd_ptrig(args) -> int:
         raise _Usage("--grid expects LO:HI:NUM")
     fn = _PTRIG_FNS[args.fn]
     vals = np.asarray(fn(xs, p), dtype=float)
-    if args.format == "json":
-        _emit(_json_text({"p": p, "fn": args.fn, "x": xs, "value": vals}),
-              args.out)
-    else:
-        _emit(_csv_text(["x", "value"], list(zip(xs, vals))), args.out)
+    _output(args, {"p": p, "fn": args.fn, "x": xs, "value": vals},
+            ["x", "value"], zip(xs, vals))
     return 0
 
 
@@ -168,13 +150,13 @@ def _solve_from_args(args, max_step=None):
     lam = args.lam if args.lam is not None else args.p - 1.0
     prob = ModelProblem(PParams(p=args.p, n_dim=args.n, lam=lam),
                         a=_parse_a(args.a))
-    return solve_model(prob, tol=_env_tol(args.tol), max_step=max_step)
+    return solve_model(prob, max_step=max_step)
 
 
 def _cmd_model(args) -> int:
     sol = _solve_from_args(args)
     traj = sol.trajectory
-    summary = {
+    payload = {
         "p": sol.problem.params.p,
         "n": sol.problem.params.n_dim,
         "lambda": sol.problem.params.lam,
@@ -185,14 +167,9 @@ def _cmd_model(args) -> int:
         "delta": sol.delta,
         "m_max": sol.m_max,
     }
-    if args.format == "json":
-        payload = dict(summary)
-        payload["trajectory"] = {k: traj[k] for k in
-                                 ("t", "w", "wdot", "phi", "e")}
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = zip(traj["t"], traj["w"], traj["wdot"], traj["phi"], traj["e"])
-        _emit(_csv_text(["t", "w", "wdot", "phi", "e"], rows), args.out)
+    header = ["t", "w", "wdot", "phi", "e"]
+    payload["trajectory"] = {k: traj[k] for k in header}
+    _output(args, payload, header, zip(*[traj[k] for k in header]))
     return 0
 
 
@@ -201,14 +178,10 @@ def _cmd_delta_scan(args) -> int:
     avals = _parse_floats(args.a_values, "--a-values")
     if not avals:
         raise _Usage("--a-values must contain at least one endpoint")
-    rows = delta_scan(avals, PParams(p=args.p, n_dim=args.n, lam=lam),
-                      tol=_env_tol(args.tol))
+    rows = delta_scan(avals, PParams(p=args.p, n_dim=args.n, lam=lam))
     header = ["a", "delta", "m_max", "t0", "b", "status"]
-    if args.format == "json":
-        _emit(_json_text({"rows": rows}), args.out)
-    else:
-        _emit(_csv_text(header, [[r[k] for k in header] for r in rows]),
-              args.out)
+    _output(args, {"rows": rows}, header,
+            [[r[k] for k in header] for r in rows])
     return 0
 
 
@@ -242,14 +215,11 @@ def _cmd_certify(args) -> int:
         rows = zip(*[cert.grid[c] for c in cols])
         with open(args.grid_out, "w") as fh:
             fh.write(_csv_text(cols, rows))
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = [[k, v] for k, v in sorted(payload["verdict"].items())]
-        rows += [["all_ok", payload["all_ok"]],
-                 ["kappa_t0_rel_err", kk["kappa_t0_rel_err"]],
-                 ["kappa_rate_rel", kk["max_rel_deviation"]]]
-        _emit(_csv_text(["check", "value"], rows), args.out)
+    rows = [[k, v] for k, v in sorted(payload["verdict"].items())]
+    rows += [["all_ok", payload["all_ok"]],
+             ["kappa_t0_rel_err", kk["kappa_t0_rel_err"]],
+             ["kappa_rate_rel", kk["max_rel_deviation"]]]
+    _output(args, payload, ["check", "value"], rows)
     return 0 if cert.all_ok else 1
 
 
@@ -264,13 +234,9 @@ def _cmd_bochner(args) -> int:
                 r = bochner_residual(entry.field, entry.point, p,
                                      step=args.step)
                 rows.append([name, p, args.step, r])
-        if args.format == "json":
-            _emit(_json_text({"rows": [
-                {"field": a, "p": b, "step": c, "residual": d}
-                for a, b, c, d in rows]}), args.out)
-        else:
-            _emit(_csv_text(["field", "p", "step", "residual"], rows),
-                  args.out)
+        header = ["field", "p", "step", "residual"]
+        _output(args, {"rows": [dict(zip(header, row)) for row in rows]},
+                header, rows)
         return 0
     if args.field not in cat:
         raise _Usage(f"unknown field {args.field!r}; "
@@ -292,12 +258,8 @@ def _cmd_bochner(args) -> int:
         "p_laplacian": p_laplacian_at(entry.field, point, args.p,
                                       step=args.step),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(["field", "p", "step", "residual", "p_laplacian"],
-                        [[args.field, args.p, args.step, res,
-                          payload["p_laplacian"]]]), args.out)
+    header = ["field", "p", "step", "residual", "p_laplacian"]
+    _output(args, payload, header, [[payload[k] for k in header]])
     return 0
 
 
@@ -316,7 +278,7 @@ def _cmd_eigensolve(args) -> int:
             raise _Usage("radial domains need --R and --n")
         dom = build_domain("radial", args.N, R=args.R, n=args.n)
     if args.method == "shooting":
-        res = solve_eigen_shooting(dom, args.p, tol=_env_tol(args.tol))
+        res = solve_eigen_shooting(dom, args.p)
     else:
         res = solve_eigen_variational(dom, args.p,
                                       SolverOptions(seed=args.seed))
@@ -337,25 +299,19 @@ def _cmd_eigensolve(args) -> int:
         with open(args.nodes_out, "w") as fh:
             fh.write(_csv_text(["x", "u"],
                                zip(dom.nodes, res.u.values)))
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        header = ["lambda", "lambda_over_pminus1", "p", "method",
-                  "iterations", "residual", "converged"]
-        _emit(_csv_text(header, [[payload[k] for k in header]]), args.out)
+    header = ["lambda", "lambda_over_pminus1", "p", "method",
+              "iterations", "residual", "converged"]
+    _output(args, payload, header, [[payload[k] for k in header]])
     return 0
 
 
 # -------------------------------------------------------------- bounds
 
 def _cmd_bounds(args) -> int:
-    rows = bounds_table(args.p, args.d, n=args.n)
-    if args.format == "json":
-        _emit(_json_text({"p": args.p, "d": args.d, "rows": rows}), args.out)
-    else:
-        header = ["name", "value", "applicable", "requires"]
-        _emit(_csv_text(header, [[r[k] for k in header] for r in rows]),
-              args.out)
+    rows = bounds_table(args.p, args.d)
+    header = ["name", "value", "applicable", "requires"]
+    _output(args, {"p": args.p, "d": args.d, "rows": rows}, header,
+            [[r[k] for k in header] for r in rows])
     return 0
 
 
@@ -402,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True, help="left endpoint or 'inf'")
     sp.add_argument("--lambda", dest="lam", type=float, default=None,
                     help="eigenvalue parameter (default p-1)")
-    sp.add_argument("--tol", type=float, default=1e-10)
     _add_common(sp)
     sp.set_defaults(run=_cmd_model)
 
@@ -412,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-values", required=True,
                     help="comma-separated left endpoints")
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
     _add_common(sp)
     sp.set_defaults(run=_cmd_delta_scan)
 
@@ -421,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=float, required=True)
     sp.add_argument("--a", required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--epsilon", type=float, default=None,
                     help="window margin (default 1e-3 * delta)")
     sp.add_argument("--offset", type=float, default=None,
@@ -457,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("variational", "shooting"),
                     default="variational")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--nodes-out", dest="nodes_out", default=None,
                     help="also write nodal values CSV here")
     _add_common(sp, default_format="json")
@@ -466,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="closed-form gap bounds")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--d", type=float, required=True)
-    sp.add_argument("--n", type=float, default=None)
     _add_common(sp)
     sp.set_defaults(run=_cmd_bounds)
 

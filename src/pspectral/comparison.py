@@ -147,7 +147,7 @@ def _kappa_dot_xt(p, n, lam, x, tv):
     return c * (xd * (p1 - m * tv) + xpd - m * x * tv * tv / (n - 1.0))
 
 
-def a3_residual(sol: ModelSolution, t, step: float | None = None):
+def a3_residual(sol: ModelSolution, t):
     """Normalized residual of the third weight coefficient at time t.
 
     Evaluates a3/(p psi) through the factorized form
@@ -165,8 +165,8 @@ def a3_residual(sol: ModelSolution, t, step: float | None = None):
     dimensionless and directly comparable across problems.
 
     t may be a scalar (a float is returned) or an array.  The step at
-    each point is min(step, (t-a)/3, (b-t)/3), with step defaulting to
-    1e-5 * max(1, delta); the whole stencil is one state evaluation.
+    each point is min(1e-5 * max(1, delta), (t-a)/3, (b-t)/3); the whole
+    stencil is one state evaluation.
     """
     _check_window(sol, t)
     p, n, lam = _pnl(sol)
@@ -174,8 +174,8 @@ def a3_residual(sol: ModelSolution, t, step: float | None = None):
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     t = np.atleast_1d(arr)
-    h = step if step is not None else 1e-5 * max(1.0, sol.delta)
-    h = np.minimum(h, np.minimum((t - a) / 3.0, (b - t) / 3.0))
+    h = np.minimum(1e-5 * max(1.0, sol.delta),
+                   np.minimum((t - a) / 3.0, (b - t) / 3.0))
     if np.any(h <= 0.0):
         raise ValueError("t too close to the window boundary")
 
@@ -223,11 +223,14 @@ class Certificate:
         return all(self.verdict.values())
 
 
+# Points on each side of t0 in the certificate grid (t0 is shared).
+_N_GRID = 151
+
+
 def build_certificate(
     sol: ModelSolution,
     epsilon: float | None = None,
     offset: float | None = None,
-    n_grid: int = 151,
     a3_tol: float = 1e-6,
 ) -> Certificate:
     """Integrate the barrier f and evaluate every certificate column.
@@ -302,8 +305,8 @@ def build_certificate(
             out[bwd] = sol_b.sol(-t[bwd])[0]
         return as_scalar_or_array(out[0] if scalar else out, scalar)
 
-    gl = np.linspace(lo, t0, n_grid)
-    gr = np.linspace(t0, hi, n_grid)
+    gl = np.linspace(lo, t0, _N_GRID)
+    gr = np.linspace(t0, hi, _N_GRID)
     ts = np.unique(np.concatenate([gl, gr]))
 
     # a NaN f (past a blow-up) propagates NaN through eta and beta
@@ -447,7 +450,11 @@ class PsiProfile:
     diagnostics: dict
 
 
-def reconstruct_psi(cert: Certificate, n_s: int = 1001) -> PsiProfile:
+# Size of the uniform s-grid on which psi is reconstructed.
+_N_PSI = 1001
+
+
+def reconstruct_psi(cert: Certificate) -> PsiProfile:
     """Recover psi(s) = exp(int_0^s h) and re-derive a1, a2 from it.
 
     h(s) = -f(w^{-1}(s)) / wdot(w^{-1}(s)); psi integrates h by the
@@ -482,9 +489,9 @@ def reconstruct_psi(cert: Certificate, n_s: int = 1001) -> PsiProfile:
     s_hi = float(sol.w(hi_t))
 
     # uniform grid containing s = 0 exactly
-    step = (s_hi - s_lo) / (n_s - 1)
+    step = (s_hi - s_lo) / (_N_PSI - 1)
     n_neg = int(math.ceil(-s_lo / step))
-    s = np.concatenate([np.arange(-n_neg, 0) * step, np.arange(0, n_s) * step])
+    s = np.concatenate([np.arange(-n_neg, 0) * step, np.arange(0, _N_PSI) * step])
     s = s[(s >= s_lo - 1e-12) & (s <= s_hi + 1e-12)]
 
     ts = np.clip(sol.w_inverse(s), lo_t, hi_t)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._util import as_scalar_or_array, spow
-from .ptrig import PExponent, _pval, inv_sin_p, pi_p, sin_cos_p
+from .ptrig import _pval, inv_sin_p, pi_p, sin_cos_p
 
 __all__ = [
     "INFINITY",
@@ -44,8 +44,6 @@ __all__ = [
     "ModelSolution",
     "solve_model",
     "CERTIFICATE_MAX_STEP",
-    "delta",
-    "m_max",
     "delta_scan",
     "integrate_phase",
 ]
@@ -317,9 +315,14 @@ def _solve_phase(p, n, a, alpha, rtol, atol, max_step, h0):
 CERTIFICATE_MAX_STEP = 2e-3
 
 
+# Largest phase error accepted at the located critical point b, relative
+# to max(1, b) in the normalized time scale; a larger one means the event
+# location failed.
+_PHASE_CHECK_TOL = 1e-9
+
+
 def solve_model(
     prob: ModelProblem,
-    tol: float = 1e-10,
     *,
     rtol: float = 1e-12,
     atol: float = 1e-13,
@@ -333,7 +336,6 @@ def solve_model(
     Parameters
     ----------
     prob : ModelProblem
-    tol : event-location tolerance used by the solution validity checks
     rtol, atol : integrator step tolerances
     max_step : optional cap on the integrator step (original time scale);
         pass CERTIFICATE_MAX_STEP for a solution that feeds a certificate
@@ -397,26 +399,13 @@ def solve_model(
     # |wdot(b)| itself scales like (phase error)^(1/(p-1)), so the honest
     # terminal check is on the located phase
     phi_b = abs(float(sol.phi(sol.b)) - hp)
-    if phi_b > max(tol, 1e-9) * max(1.0, abs(b_n)):
-        raise RuntimeError(f"critical-phase location error {phi_b:.2e} exceeds tol")
+    if phi_b > _PHASE_CHECK_TOL * max(1.0, abs(b_n)):
+        raise RuntimeError(f"critical-phase location error {phi_b:.2e} exceeds "
+                           f"{_PHASE_CHECK_TOL:.0e}")
     return sol
 
 
-def delta(a, params: PParams, tol: float = 1e-10) -> float:
-    """The gap b(a) - a; equals pi_p/alpha exactly for a = INFINITY."""
-    if a == INFINITY:
-        return pi_p(params.p) / params.alpha
-    return solve_model(ModelProblem(params, a), tol).delta
-
-
-def m_max(a, params: PParams, tol: float = 1e-10) -> float:
-    """Terminal maximum w(b(a)); equals 1 for a = INFINITY."""
-    if a == INFINITY:
-        return 1.0
-    return solve_model(ModelProblem(params, a), tol).m_max
-
-
-def delta_scan(a_grid, params: PParams, tol: float = 1e-10):
+def delta_scan(a_grid, params: PParams):
     """One row per a value: dict(a, delta, m_max, t0, b, status).
 
     Rows are produced in input order; a failing row carries its error
@@ -425,7 +414,7 @@ def delta_scan(a_grid, params: PParams, tol: float = 1e-10):
     rows = []
     for a in a_grid:
         try:
-            sol = solve_model(ModelProblem(params, float(a)), tol)
+            sol = solve_model(ModelProblem(params, float(a)))
             rows.append(
                 {
                     "a": float(a),
@@ -450,9 +439,7 @@ def delta_scan(a_grid, params: PParams, tol: float = 1e-10):
     return rows
 
 
-def integrate_phase(
-    prob: ModelProblem, phi_target: float, tol: float = 1e-10, rtol: float = 1e-12
-) -> float:
+def integrate_phase(prob: ModelProblem, phi_target: float) -> float:
     """Continue the phase past b until phi reaches phi_target.
 
     The phase is monotone increasing, so the orbit crosses each odd
@@ -484,7 +471,7 @@ def integrate_phase(
         ev_stop.direction = 1.0
         span = 1.05 * n * (stop - y[0]) + 1.0
         sol = solve_ivp(
-            rhs, (t, t + span), y, events=[ev_stop], rtol=rtol, atol=1e-13
+            rhs, (t, t + span), y, events=[ev_stop], rtol=1e-12, atol=1e-13
         )
         if len(sol.t_events[0]) == 0:
             raise RuntimeError("phase continuation failed to reach its target")

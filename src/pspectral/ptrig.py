@@ -78,9 +78,13 @@ def _quad_integrand(t: float, pv: float) -> float:
     # [0, 1]; 1 - (1-u)**p is evaluated via expm1/log1p to keep full
     # relative accuracy for small u.
     q = pv / (pv - 1.0)
-    if t <= 0.0:
+    u = t**q if t > 0.0 else 0.0
+    # Below u = 1e-300, 1 - (1-u)**p = p*u to full precision and the
+    # integrand equals its u -> 0 limit q * p**(-1/p).  Evaluated there
+    # directly (as p -> 1, q grows and t**q reaches this range), p*u
+    # underflows and its power divides by zero or overflows.
+    if u < 1e-300:
         return q * pv ** (-1.0 / pv)
-    u = t**q
     if u >= 1.0:
         one_minus = 1.0
     else:

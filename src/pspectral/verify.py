@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._util import json_safe, spow
+from ._util import json_safe
 from .bochner import (
     ScalarField,
     bochner_residual,
@@ -180,7 +180,6 @@ def criterion_4(scope: str = "full", cache: Cache | None = None):
     pn, avals = _grids(scope)
     ok = True
     min_gap = np.inf
-    rows = {}
     for p, n in pn:
         gaps = {}
         ms = {}
@@ -195,7 +194,6 @@ def criterion_4(scope: str = "full", cache: Cache | None = None):
         lo, hi = min(avals), max(avals)
         ok &= gaps[hi] < gaps[lo]
         ok &= (1.0 - ms[hi]) < (1.0 - ms[lo])
-        rows[(p, n)] = (gaps, ms)
     return CriterionResult(
         4, "window exceeds half-period, shrinking with a", ok,
         {"min_gap": _fmt(min_gap), "n_cases": len(pn) * len(avals)},
@@ -308,8 +306,7 @@ def criterion_8(scope: str = "full", cache: Cache | None = None,
         p = float(rng.uniform(1.2, 4.0))
         m = d + float(rng.uniform(0.0, 3.0))
         try:
-            _, _, okc = hessian_inequality_check(ScalarField(d, f), pt, p, m,
-                                                 tol=1e-10)
+            _, _, okc = hessian_inequality_check(ScalarField(d, f), pt, p, m)
         except ValueError:
             continue  # degenerate gradient: resample
         checked += 1
@@ -355,7 +352,7 @@ def criterion_10(scope: str = "full", cache: Cache | None = None):
     # radial case: sampled profile against the matched comparison model
     rs, _ = cache.radial_eigs(3.0, 2.0, N)
     sol = solve_model(ModelProblem(PParams(2.0, 3.0, rs.lam), 0.0))
-    rep = gradient_comparison_check(rs, sol, tol=5.0)
+    rep = gradient_comparison_check(rs, sol)
     ok &= rep["passed"]
     worst = max(worst, rep["max_violation_normalized"] / rep["h_normalized"])
     reports += 1
@@ -365,7 +362,7 @@ def criterion_10(scope: str = "full", cache: Cache | None = None):
     for p in ps:
         res = solve_eigen_variational(dom, p)
         prof = solve_model(ModelProblem(PParams(p, 1.0, res.lam), INFINITY))
-        rep = gradient_comparison_check(res, prof, tol=5.0)
+        rep = gradient_comparison_check(res, prof)
         ok &= rep["passed"]
         worst = max(worst,
                     rep["max_violation_normalized"] / rep["h_normalized"])

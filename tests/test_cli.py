@@ -1,20 +1,26 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import pkgutil
+import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pspectral
 from pspectral import verify
-from pspectral.cli import main
+from pspectral.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -270,23 +276,51 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
-# ------------------------------------------------- tolerance override
-
-def test_env_tol_override(capsys, monkeypatch):
-    monkeypatch.setenv("PSPECTRAL_TOL", "1e-8")
-    code, out, _ = run_cli(capsys, "model", "--p", "2", "--n", "2",
-                           "--a", "1")
-    assert code == 0
-    monkeypatch.setenv("PSPECTRAL_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "model", "--p", "2", "--n", "2",
-                           "--a", "1")
-    assert code == 2
-    assert "PSPECTRAL_TOL" in err
-
-
 def test_missing_subcommand_exits_2(capsys):
     code = main([])
     assert code == 2
+
+
+# ---------------------------------------------------------- property
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+       d=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_finite_inputs_end_in_an_exit_code(p, d):
+    # overflowing bounds and p near 1 (where t**q underflows in the
+    # half-period quadrature) once escaped as tracebacks
+    for argv in (["bounds", "--p", repr(p), "--d", repr(d)],
+                 ["ptrig", "--p", repr(p), "--fn", "pi"]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+# ------------------------------------------------------ docs and names
+
+def test_readme_cli_lines_parse_and_all_names_resolve():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln.split("#", 1)[0]) for ln in block.splitlines()
+             if ln.startswith("pspectral ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")
+    modules = [pspectral] + [
+        importlib.import_module(f"pspectral.{m.name}")
+        for m in pkgutil.iter_modules(pspectral.__path__)
+        if m.name != "__main__"]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 # -------------------------------------------------------------- verify

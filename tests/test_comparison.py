@@ -18,9 +18,9 @@ from pspectral import (
     PParams,
     pi_p,
     solve_model,
-    spow,
     tan_p,
 )
+from pspectral._util import spow
 from pspectral.model1d import CERTIFICATE_MAX_STEP
 from pspectral.comparison import (
     X_of,

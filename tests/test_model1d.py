@@ -15,17 +15,13 @@ from pspectral import (
     INFINITY,
     ModelProblem,
     PParams,
-    delta,
     delta_scan,
-    integrate_phase,
-    m_max,
     pi_p,
     sin_cos_p,
     sin_p,
     solve_model,
-    spow,
 )
-from pspectral.model1d import _DEFAULT_H0, _solve_phase
+from pspectral.model1d import _DEFAULT_H0, _solve_phase, integrate_phase
 
 from oracles import bessel_case_n2, solve_divergence_form, spherical_case_n3
 
@@ -131,16 +127,16 @@ def test_infinity_closed_form():
     # closed-form inverse
     si = np.linspace(-0.999, 0.999, 31)
     assert np.max(np.abs(sol.w(sol.w_inverse(si)) - si)) < 1e-12
-    assert abs(delta(INFINITY, pp) - pip / pp.alpha) < 1e-15
-    assert m_max(INFINITY, pp) == 1.0
+    assert abs(sol.delta - pip / pp.alpha) < 1e-15
 
 
 @pytest.mark.parametrize("p,n", [(1.5, 2), (3.0, 3)])
 def test_trends_in_a(p, n):
     pp = PParams(p, n, 1.0)
-    d_small, d_big = delta(0.1, pp), delta(100.0, pp)
-    m_small, m_big = m_max(0.1, pp), m_max(100.0, pp)
-    d_inf = delta(INFINITY, pp)
+    small, big, inf = (solve_model(ModelProblem(pp, a))
+                       for a in (0.1, 100.0, INFINITY))
+    d_small, d_big, d_inf = small.delta, big.delta, inf.delta
+    m_small, m_big = small.m_max, big.m_max
     assert d_big < d_small
     assert 0.0 < m_small < m_big < 1.0
     # both approach the driftless window from above

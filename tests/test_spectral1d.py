@@ -346,5 +346,3 @@ def test_bounds_table_validation():
         bounds_table(1.0, 1.0)
     with pytest.raises(ValueError):
         bounds_table(2.0, 0.0)
-    with pytest.raises(ValueError):
-        bounds_table(2.0, 1.0, n=0.5)
