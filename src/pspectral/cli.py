@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -134,9 +135,15 @@ def _cmd_ptrig(args) -> int:
         return 0
     try:
         lo, hi, num = args.grid.split(":")
-        xs = np.linspace(float(lo), float(hi), int(num))
+        lo, hi, num = float(lo), float(hi), int(num)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
+        if max(abs(lo), abs(hi)) <= 2.0**1020:
+            xs = np.linspace(lo, hi, num)
+        else:  # so that the span hi - lo and its multiples cannot overflow
+            xs = 4.0 * np.linspace(0.25 * lo, 0.25 * hi, num)
     except ValueError:
-        raise _Usage("--grid expects LO:HI:NUM")
+        raise _Usage("--grid expects LO:HI:NUM with finite LO, HI")
     fn = _PTRIG_FNS[args.fn]
     vals = np.asarray(fn(xs, p), dtype=float)
     _output(args, {"p": p, "fn": args.fn, "x": xs, "value": vals},
@@ -432,10 +439,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# A flag value that starts with "-" and a digit, such as the grid
+# -1:1:11, is read by argparse as a flag unless it is a plain number;
+# main joins it to the flag before it (--grid=-1:1:11).
+_DASH_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_dash_values(argv):
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _DASH_VALUE.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -90,11 +90,12 @@ def eta_beta(s, t, sol: ModelSolution):
     eta(s,t) = s/(p-1) (T - X^(p-1)) + s^2 (p-n)/(p(n-1))
     beta(s,t) = -pT/(p-1) (nT/(n-1) - X^(p-1)) - s^2
                 + s ((2n/(n-1) + 1/(p-1)) T - p/(p-1) X^(p-1))
+
+    t must lie strictly inside the window; X_of checks it.
     """
-    _check_window(sol, t)
+    x = X_of(sol, t)
     p, n, _ = _pnl(sol)
     tv, _ = _drift(sol, t)
-    x = X_of(sol, t)
     p1 = spow(x, p - 1.0)
     s = np.asarray(s, dtype=float)
     eta = s / (p - 1.0) * (tv - p1) + s * s * (p - n) / (p * (n - 1.0))

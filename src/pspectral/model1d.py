@@ -115,7 +115,9 @@ class ModelSolution:
     diagnostics : dict  solver metadata (nfev, closed_form)
 
     Callable evaluators: state(t) = (w(t), wdot(t)), w(t), wdot(t), phi(t),
-    e(t), w_inverse(s).
+    log_e(t), e(t), w_inverse(s).  They all read one phase closure,
+    phase_fn(t) -> (phi(t), log e(t)): one dense-output evaluation per
+    call on the integrated orbit, the closed form for a = INFINITY.
     Instances are immutable by convention once constructed.
     """
 
@@ -126,8 +128,7 @@ class ModelSolution:
         b: float,
         t0: float,
         m_max: float,
-        phi_fn,
-        log_e_fn,
+        phase_fn,
         diagnostics: dict,
     ):
         self.problem = problem
@@ -136,35 +137,36 @@ class ModelSolution:
         self.t0 = float(t0)
         self.delta = self.b - self.a_eff
         self.m_max = float(m_max)
-        self._phi_fn = phi_fn
-        self._log_e_fn = log_e_fn
+        self._phase_fn = phase_fn
         self.diagnostics = diagnostics
         ts = np.linspace(self.a_eff, self.b, _N_SAMPLES)
         ts = np.unique(np.concatenate([ts, [self.t0]]))
         w, wdot = self.state(ts)
+        phi, log_e = phase_fn(ts)
         self.trajectory = {
-            "t": ts, "phi": self.phi(ts), "e": self.e(ts), "w": w, "wdot": wdot,
+            "t": ts, "phi": phi, "e": np.exp(log_e), "w": w, "wdot": wdot,
         }
 
     # -- evaluators ------------------------------------------------------
 
     def phi(self, t):
         """Phase phi(t) with phi(a) = -pi_p/2, phi(t0) = 0, phi(b) = pi_p/2."""
-        return self._phi_fn(t)
+        return self._phase_fn(t)[0]
 
     def log_e(self, t):
         """log of the amplitude e(t) = (wdot^p + alpha^p w^p)^(1/p)."""
-        return self._log_e_fn(t)
+        return self._phase_fn(t)[1]
 
     def e(self, t):
-        return np.exp(self._log_e_fn(t))
+        return np.exp(self._phase_fn(t)[1])
 
     def state(self, t):
-        """The pair (w(t), wdot(t)) from one phase, one amplitude and one
+        """The pair (w(t), wdot(t)) from one phase closure call and one
         sin_cos_p evaluation; t may be a scalar or an array."""
         pp = self.problem.params
-        s, c = sin_cos_p(self._phi_fn(t), pp.p)
-        e = np.exp(self._log_e_fn(t))
+        phi, log_e = self._phase_fn(t)
+        s, c = sin_cos_p(phi, pp.p)
+        e = np.exp(log_e)
         return e * s / pp.alpha, e * c
 
     def w(self, t):
@@ -179,7 +181,7 @@ class ModelSolution:
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        s, c = sin_cos_p(self._phi_fn(arr), p.p)
+        s, c = sin_cos_p(self._phase_fn(arr)[0], p.p)
         if self.problem.a == INFINITY:
             tv = np.zeros_like(arr)
         else:
@@ -349,12 +351,9 @@ def solve_model(
     if prob.a == INFINITY:
         # T = 0: exact closed form w(t) = sin_p(alpha*t - pi_p/2) on a
         # canonical window [0, pi_p/alpha]; e is constant = alpha.
-        def phi_fn(t):
-            return alpha * np.asarray(t, dtype=float) - hp
-
-        def log_e_fn(t):
+        def phase_fn(t):
             arr = np.asarray(t, dtype=float)
-            return np.zeros_like(arr) + math.log(alpha)
+            return alpha * arr - hp, np.zeros_like(arr) + math.log(alpha)
 
         return ModelSolution(
             prob,
@@ -362,8 +361,7 @@ def solve_model(
             b=2.0 * hp / alpha,
             t0=hp / alpha,
             m_max=1.0,
-            phi_fn=phi_fn,
-            log_e_fn=log_e_fn,
+            phase_fn=phase_fn,
             diagnostics={"closed_form": True},
         )
 
@@ -376,15 +374,12 @@ def solve_model(
 
     t_lo, t_hi = dense.t[0], dense.t[-1]
 
-    def phi_fn(t, _d=dense, _s=scale, _lo=t_lo, _hi=t_hi):
-        tt = np.clip(np.asarray(t, dtype=float) * _s, _lo, _hi)
-        out = _d.sol(tt)[0]
-        return as_scalar_or_array(out, np.asarray(t).ndim == 0)
-
-    def log_e_fn(t, _d=dense, _s=scale, _lo=t_lo, _hi=t_hi, _la=math.log(alpha)):
-        tt = np.clip(np.asarray(t, dtype=float) * _s, _lo, _hi)
-        out = _d.sol(tt)[1] + _la
-        return as_scalar_or_array(out, np.asarray(t).ndim == 0)
+    def phase_fn(t, _d=dense, _s=scale, _lo=t_lo, _hi=t_hi, _la=math.log(alpha)):
+        arr = np.asarray(t, dtype=float)
+        phi, log_e = _d.sol(np.clip(arr * _s, _lo, _hi))
+        scalar = arr.ndim == 0
+        return (as_scalar_or_array(phi, scalar),
+                as_scalar_or_array(log_e + _la, scalar))
 
     sol = ModelSolution(
         prob,
@@ -392,8 +387,7 @@ def solve_model(
         b=b_n / scale,
         t0=t0_n / scale,
         m_max=math.exp(log_m),
-        phi_fn=phi_fn,
-        log_e_fn=log_e_fn,
+        phase_fn=phase_fn,
         diagnostics=diagnostics,
     )
     # |wdot(b)| itself scales like (phase error)^(1/(p-1)), so the honest

@@ -15,6 +15,7 @@ circular functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,10 +67,27 @@ def _pval(p) -> float:
     return PExponent(float(p)).value
 
 
+@functools.lru_cache(maxsize=128)
+def _p_constants(pv: float):
+    """Per-p constants (pi_p, a, b, B(a, b)) with a = 1/p, b = 1 - 1/p.
+
+    Shared by the scalar and the array paths of sin_cos_p and by the
+    other functions of the family; pv must already be validated.  B is
+    inf for p within a few ulps of the largest float, where gamma(1/p)
+    ~ p overflows.
+    """
+    # sin(pi/p) = sin(pi*(p-1)/p).  For p < 2 the second form is used:
+    # p - 1 is exact there, while pi/p lies next to pi, where the sine
+    # cancels and loses all relative accuracy as p -> 1.
+    angle = math.pi * (pv - 1.0) / pv if pv < 2.0 else math.pi / pv
+    a, b = 1.0 / pv, 1.0 - 1.0 / pv
+    return (2.0 * math.pi / (pv * math.sin(angle)), a, b,
+            float(gamma(a) * gamma(b)))
+
+
 def pi_p(p) -> float:
     """Half-period of sin_p: 2*pi/(p*sin(pi/p)); pi_2 = pi."""
-    pv = _pval(p)
-    return 2.0 * math.pi / (pv * math.sin(math.pi / pv))
+    return _p_constants(_pval(p))[0]
 
 
 def _quad_integrand(t: float, pv: float) -> float:
@@ -138,8 +156,8 @@ def inv_sin_p(s, p):
         bad = arr[np.abs(arr) > 1.0 + 1e-15][0]
         raise ValueError(f"argument must lie in [-1, 1], got {bad}")
     arr = np.clip(arr, -1.0, 1.0)
-    a, b = 1.0 / pv, 1.0 - 1.0 / pv
-    out = np.sign(arr) * 0.5 * pi_p(pv) * betainc(a, b, np.abs(arr) ** pv)
+    pp, a, b, _ = _p_constants(pv)
+    out = np.sign(arr) * 0.5 * pp * betainc(a, b, np.abs(arr) ** pv)
     return as_scalar_or_array(out[0] if scalar else out, scalar)
 
 
@@ -150,11 +168,14 @@ def _principal_sin_cos(x: np.ndarray, pv: float):
     betaincinv, then applies safeguarded Newton corrections on the
     monotone map itself.  Near the right endpoint the complement
     variable z = 1 - s**p (= cos_p**p) is solved instead so that cos_p
-    retains full relative accuracy.
+    retains full relative accuracy.  Where u = s**p falls below 1e-300
+    it has lost its precision to underflow (at large p this happens at
+    moderate s: s**p < 1e-300 for s < 0.5 at p = 1000); there
+    x(s) = s + s**(p+1)/(p(p+1)) + ... equals s to double precision, so
+    s = x.  _sin_cos_scalar is the same algorithm on Python floats.
     """
-    hp = 0.5 * pi_p(pv)
-    a, b = 1.0 / pv, 1.0 - 1.0 / pv
-    beta_ab = gamma(a) * gamma(b)
+    pp, a, b, beta_ab = _p_constants(pv)
+    hp = 0.5 * pp
     y = np.clip(x / hp, 0.0, 1.0)
     s = np.empty_like(y)
     z = np.empty_like(y)  # z = 1 - s**p = cos_p**p
@@ -164,14 +185,15 @@ def _principal_sin_cos(x: np.ndarray, pv: float):
     if np.any(lo):
         yl = y[lo]
         u = betaincinv(a, b, yl)
-        sv = u ** (1.0 / pv)
+        sv = u**a  # a = 1/p
         # Newton on G(s) = I(a, b; s**p) - y; G'(s) = p*(1-s**p)**(-1/p)/B(a,b)
         for _ in range(2):
             one_minus = 1.0 - sv**pv
             one_minus = np.maximum(one_minus, 1e-300)
             res = betainc(a, b, sv**pv) - yl
-            sv = sv - res * beta_ab / pv * one_minus ** (1.0 / pv)
+            sv = sv - res * beta_ab / pv * one_minus**a
             sv = np.clip(sv, 0.0, 1.0)
+        sv = np.where(u < 1e-300, x[lo], sv)
         s[lo] = sv
         z[lo] = np.maximum(1.0 - sv**pv, 0.0)
     if np.any(hi):
@@ -186,9 +208,66 @@ def _principal_sin_cos(x: np.ndarray, pv: float):
             zv = zv - res / dg
             zv = np.clip(zv, 0.0, 1.0)
         z[hi] = zv
-        s[hi] = (1.0 - zv) ** (1.0 / pv)
-    c = z ** (1.0 / pv)
+        s[hi] = (1.0 - zv) ** a
+    c = z**a
     return s, c
+
+
+def _pow(x: float, e: float) -> float:
+    # numpy's power, not float.__pow__: numpy may take a vectorized pow
+    # that rounds some results differently from the C library's, and the
+    # array path uses it, so the two paths stay identical bit for bit.
+    # The kernel keeps the faster ** for the factors of a Newton
+    # correction: the correction is as small as the iterate's error, so
+    # a last-bit change in it moves the result only if the corrected
+    # iterate lands within that change of a rounding boundary.
+    return float(np.power(x, e))
+
+
+def _sin_cos_scalar(x: float, pv: float):
+    """sin_cos_p for one Python float: the period reduction of sin_cos_p
+    and the algorithm of _principal_sin_cos, step for step and rounding
+    as it does (see _pow), without numpy's per-call cost of boxing and
+    masking a length-1 array.
+
+    Non-finite x gives (nan, nan), as on the array path.
+    """
+    if not math.isfinite(x):
+        return math.nan, math.nan
+    pp, a, b, beta_ab = _p_constants(pv)
+    hp = 0.5 * pp
+
+    r = x % (2.0 * pp)  # the floored modulo of np.mod
+    if r > pp:
+        r -= 2.0 * pp  # r in [-pi_p, pi_p]
+    sgn_s = -1.0 if r < 0.0 else 1.0
+    r = abs(r)
+    sgn_c = -1.0 if r > hp else 1.0
+    if r > hp:
+        r = pp - r  # r in [0, pi_p/2]
+
+    y = min(max(r / hp, 0.0), 1.0)
+    if y < 0.7:
+        u = float(betaincinv(a, b, y))
+        s = _pow(u, a)
+        for _ in range(2):
+            sp = _pow(s, pv)
+            res = float(betainc(a, b, sp)) - y
+            s = s - res * beta_ab / pv * max(1.0 - sp, 1e-300) ** a
+            s = min(max(s, 0.0), 1.0)
+        if u < 1e-300:
+            s = r
+        z = max(1.0 - _pow(s, pv), 0.0)
+    else:
+        z = float(betaincinv(b, a, 1.0 - y))
+        for _ in range(2):
+            zc = min(max(z, 1e-300), 1.0)
+            res = float(betainc(b, a, zc)) - (1.0 - y)
+            dg = zc ** (b - 1.0) * max(1.0 - zc, 1e-300) ** (a - 1.0) / beta_ab
+            z = z - res / dg
+            z = min(max(z, 0.0), 1.0)
+        s = _pow(1.0 - z, a)
+    return sgn_s * s, sgn_c * _pow(z, a)
 
 
 def sin_cos_p(x, p):
@@ -196,13 +275,25 @@ def sin_cos_p(x, p):
 
     Reduces x to the principal branch using oddness of sin_p, evenness
     of cos_p, the reflection about pi_p/2, and 2*pi_p periodicity, then
-    solves on [0, pi_p/2].
+    solves on [0, pi_p/2] by betaincinv and two safeguarded Newton
+    steps (see _principal_sin_cos).
+
+    A 0-d input (a Python float or a numpy scalar, as an ODE right-hand
+    side passes) takes a kernel on Python floats and returns two floats;
+    any other input takes the vectorized path and returns two arrays.
+    Both run the same algorithm, agree bit for bit on every point tested
+    and read the same cached per-p constants (pi_p, 1/p, 1 - 1/p and
+    B(1/p, 1 - 1/p)), so a value does not depend on the path.  p is
+    validated on every call, and rejected where B overflows.  Non-finite
+    x gives NaN.
     """
     pv = _pval(p)
+    pp, _, _, beta_ab = _p_constants(pv)
+    if math.isinf(beta_ab):
+        raise ValueError(f"exponent too large: B(1/p, 1-1/p) overflows at p = {pv!r}")
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return _sin_cos_scalar(float(x), pv)
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
-    pp = pi_p(pv)
     hp = 0.5 * pp
 
     r = np.mod(arr, 2.0 * pp)
@@ -213,11 +304,7 @@ def sin_cos_p(x, p):
     r = np.where(r > hp, pp - r, r)  # r in [0, pi_p/2]
 
     s, c = _principal_sin_cos(r, pv)
-    s_out = sgn_s * s
-    c_out = sgn_c * c
-    if scalar:
-        return float(s_out[0]), float(c_out[0])
-    return s_out, c_out
+    return sgn_s * s, sgn_c * c
 
 
 def sin_p(x, p):
@@ -233,9 +320,15 @@ def cos_p(x, p):
 
 
 def tan_p(x, p):
-    """Generalized tangent sin_p/cos_p on the principal branch."""
+    """Generalized tangent sin_p/cos_p on the principal branch.
+
+    +-inf where cos_p is 0: at the kink, and wherever |cos_p|**p
+    underflows (near the kink for p close to 1).
+    """
     s, c = sin_cos_p(x, p)
-    return s / c
+    with np.errstate(divide="ignore"):
+        t = np.divide(s, c)
+    return as_scalar_or_array(t, np.ndim(x) == 0)
 
 
 def arctan_p(y, p):
@@ -248,8 +341,8 @@ def arctan_p(y, p):
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    hp = 0.5 * pi_p(pv)
-    a, b = 1.0 / pv, 1.0 - 1.0 / pv
+    pp, a, b, _ = _p_constants(pv)
+    hp = 0.5 * pp
     out = np.empty_like(arr)
     inf_mask = np.isinf(arr)
     out[inf_mask] = np.sign(arr[inf_mask]) * hp

@@ -2,12 +2,14 @@
 
 These re-derive key quantities through routes that share no code with
 the package internals: direct integration of the divergence-form ODE
-for the 1D comparison problem, and classical special-function values
-for the p = 2 reductions.
+for the 1D comparison problem, classical special-function values for
+the p = 2 reductions, and extended-precision (mpmath) values of the
+p-trigonometric functions.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -92,3 +94,69 @@ def spherical_case_n3():
     """
     b = brentq(lambda t: np.tan(t) - t, 4.3, 4.6, xtol=1e-13)
     return float(b), float(np.pi), float(-np.sin(b) / b)
+
+
+def pi_p_mp(p, dps=50):
+    """pi_p = 2*pi/(p*sin(pi/p)) in mpmath at dps digits, for the exact
+    binary value of the float p."""
+    with mpmath.workdps(dps):
+        pm = mpmath.mpf(p)
+        return 2 * mpmath.pi / (pm * mpmath.sin(mpmath.pi / pm))
+
+
+def _solve_regularized_beta(a, b, target):
+    """The v in (0, 1) with I(a, b; v) = target > 0, by Newton's method
+    on log I against log v; a power law v**a near 0 makes that map
+    almost linear, so the iteration converges from any start in (0, 1)."""
+    v = mpmath.mpf(target) ** (1 / a) if target < 0.5 else mpmath.mpf("0.5")
+    beta = mpmath.beta(a, b)
+    for _ in range(200):
+        val = mpmath.betainc(a, b, 0, v, regularized=True)
+        dval = v ** (a - 1) * (1 - v) ** (b - 1) / beta
+        step = (mpmath.log(val) - mpmath.log(target)) * val / (dval * v)
+        v_new = v * mpmath.exp(-step)
+        if v_new >= 1:
+            v_new = (v + 1) / 2
+        if abs(v_new - v) <= mpmath.mpf(10) ** (-mpmath.mp.dps + 5) * v:
+            return v_new
+        v = v_new
+    raise RuntimeError("mpmath incomplete-beta inversion did not converge")
+
+
+def sin_cos_p_mp(x, p, dps=40):
+    """sin_p(x) and z = |cos_p(x)|**p with the sign of cos_p, in mpmath.
+
+    Returns (s, z, sign_c) as mpf values for the exact binary values of
+    the floats x and p.  The period reduction runs in dps digits; on
+    [0, pi_p/2] the defining integral is mpmath's regularized incomplete
+    beta, I(1/p, 1-1/p; s**p) = x/(pi_p/2), inverted for whichever of
+    u = s**p and z = 1 - u is smaller, so both keep full relative
+    accuracy.  Comparing cos_p through z is well conditioned at the
+    kink x = pi_p/2, where cos_p = z**(1/p) is not.
+    """
+    with mpmath.workdps(dps):
+        pm = mpmath.mpf(p)
+        pp = 2 * mpmath.pi / (pm * mpmath.sin(mpmath.pi / pm))
+        hp = pp / 2
+        r = mpmath.mpf(x)
+        r = r - 2 * pp * mpmath.floor(r / (2 * pp))  # [0, 2 pi_p)
+        if r > pp:
+            r -= 2 * pp
+        sign_s = -1 if r < 0 else 1
+        r = abs(r)
+        sign_c = -1 if r > hp else 1
+        if r > hp:
+            r = pp - r
+        a, b = 1 / pm, 1 - 1 / pm
+        y = r / hp
+        if y == 0:
+            u, z = mpmath.mpf(0), mpmath.mpf(1)
+        elif y == 1:
+            u, z = mpmath.mpf(1), mpmath.mpf(0)
+        elif y < 0.5:
+            u = _solve_regularized_beta(a, b, y)
+            z = 1 - u
+        else:
+            z = _solve_regularized_beta(b, a, 1 - y)
+            u = 1 - z
+        return sign_s * u ** a, z, sign_c

@@ -73,6 +73,15 @@ def test_ptrig_bad_grid(capsys):
     assert "LO:HI:NUM" in err
 
 
+def test_ptrig_grid_with_negative_lo(capsys):
+    for grid in ("-1:1:3", "-.5:0.5:3"):
+        code, out, _ = run_cli(capsys, "ptrig", "--p", "2", "--fn", "sin",
+                               "--grid", grid)
+        assert code == 0, grid
+        _, rows = parse_csv(out)
+        assert float(rows[0][0]) == -float(rows[2][0]) and float(rows[1][0]) == 0.0
+
+
 # ------------------------------------------------------------- model
 
 def test_model_trajectory_starts_at_left_endpoint(capsys):
@@ -283,14 +292,25 @@ def test_missing_subcommand_exits_2(capsys):
 
 # ---------------------------------------------------------- property
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @settings(max_examples=150, deadline=None)
 @given(p=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
-       d=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-def test_finite_inputs_end_in_an_exit_code(p, d):
-    # overflowing bounds and p near 1 (where t**q underflows in the
-    # half-period quadrature) once escaped as tracebacks
+       d=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       fn=st.sampled_from(["sin", "cos", "tan", "arctan"]),
+       lo=finite, hi=finite, num=st.integers(min_value=0, max_value=6),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_finite_inputs_end_in_an_exit_code(p, d, fn, lo, hi, num, fmt):
+    # overflowing bounds, p near 1 (where t**q underflows in the
+    # half-period quadrature), a grid whose LO starts with "-" (read as
+    # a flag), a grid span hi - lo that overflows and tan_p where cos_p
+    # rounds to 0 once escaped as tracebacks, warnings or usage errors
+    grid = f"{lo!r}:{hi!r}:{num}"
     for argv in (["bounds", "--p", repr(p), "--d", repr(d)],
-                 ["ptrig", "--p", repr(p), "--fn", "pi"]):
+                 ["ptrig", "--p", repr(p), "--fn", "pi"],
+                 ["ptrig", "--p", repr(p), "--fn", fn, "--grid", grid,
+                  "--format", fmt]):
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import pi_p_mp, sin_cos_p_mp
 from pspectral.ptrig import (
     PExponent,
     arctan_p,
@@ -49,6 +50,14 @@ def test_pi_p_against_quadrature():
         closed = pi_p(p)
         quad = pi_p_quadrature(p)
         assert abs(closed - quad) / closed <= 1e-10
+
+
+def test_pi_p_against_mpmath():
+    # pi/p lies next to pi as p -> 1, where sin(pi/p) cancels; the closed
+    # form must keep full relative accuracy there
+    for p in [1.0 + 1e-15, 1.0 + 1e-10, 1.0 + 1e-6, 1.1, 1.5]:
+        ref = pi_p_mp(p)
+        assert abs(pi_p(p) - ref) / ref <= 1e-15, f"p={p!r}"
 
 
 def test_pi_p_accepts_pexponent():
@@ -190,9 +199,91 @@ def test_arctan_p_properties():
         assert np.max(np.abs(back - phi)) <= 1e-9
 
 
+ORACLE_P = [1.2, 1.5, 2.0, 3.0, 6.0]
+
+
 def test_vector_and_scalar_apis_agree():
-    x = np.array([-2.0, -0.3, 0.0, 0.7, 2.5])
+    # a 0-d input takes the float kernel, an array the vectorized path;
+    # they run the same operations and must agree bit for bit
+    rng = np.random.default_rng(20111)
+    for p in ORACLE_P:
+        pp = pi_p(p)
+        x = np.concatenate([[-2.0, -0.3, 0.0, 0.7, 2.5],
+                            rng.uniform(-3.0 * pp, 3.0 * pp, 3000)])
+        sv, cv = sin_cos_p(x, p)
+        pairs = [sin_cos_p(xi, p) for xi in x]  # numpy scalars
+        assert all(type(v) is float for pair in pairs[:5] for v in pair)
+        ss, cs = np.array(pairs).T
+        assert np.array_equal(ss, sv) and np.array_equal(cs, cv), f"p={p}"
+        assert sin_cos_p(np.float64(x[7]), p) == sin_cos_p(float(x[7]), p)
+        assert sin_cos_p(np.array(x[7]), p) == sin_cos_p(float(x[7]), p)
+
+
+def test_sin_cos_p_matches_mpmath_oracle():
+    # Both paths against 40-digit values, on both branches of the
+    # principal solve (y = x/(pi_p/2) below and above 0.7, up to the
+    # kink), shifted by up to three periods either way and reflected.
+    # cos_p is compared through z = |cos_p|**p: near pi_p/2 the map
+    # x -> cos_p = z**(1/p) is ill-conditioned, x -> z is not.  The
+    # bounds scale with the rounding of the period reduction, eps*|x|.
+    eps = np.finfo(float).eps
+    ys = [0.0, 1e-12, 1e-3, 0.3, 0.69, 0.7, 0.71, 0.9, 0.999,
+          1 - 1e-6, 1 - 1e-9, 1 - 1e-13, 1.0]
+    for p in ORACLE_P:
+        pp = pi_p(p)
+        hp = 0.5 * pp
+        xs = [sgn * y * hp + k * pp + 2 * m * pp for y in ys
+              for sgn, k in ((1, 0), (-1, 0), (-1, 1)) for m in (-2, -1, 0, 1, 3)]
+        s_arr, c_arr = sin_cos_p(np.array(xs), p)
+        for x, sa, ca in zip(xs, s_arr, c_arr):
+            s_ref, z_ref, sign_c = sin_cos_p_mp(x, p)
+            scale = eps * (1.0 + abs(x) / hp)
+            tol_s, tol_z = 16.0 * scale, 8.0 * scale * p / (p - 1.0)
+            for s, c in (sin_cos_p(x, p), (sa, ca)):
+                assert abs(s - float(s_ref)) <= tol_s, (p, x, s)
+                assert abs(abs(c) ** p - float(z_ref)) <= tol_z, (p, x, c)
+                if z_ref > tol_z:  # the sign of cos_p is decided
+                    assert math.copysign(1.0, c) == sign_c, (p, x, c)
+
+
+def test_sine_branch_where_s_pow_p_underflows():
+    # at large p, u = s**p underflows already at moderate s; sin_p(0.02)
+    # at p = 200 once came out as 0.04 and tan_p(0.5) at p = 1075 as inf
+    for p, x in [(200.0, 0.02), (1075.0, 0.3), (1075.0, -0.5), (10.0, 1e-31)]:
+        s_ref, z_ref, _ = sin_cos_p_mp(x, p)
+        (sa,), (ca,) = sin_cos_p(np.array([x]), p)
+        for s, c in (sin_cos_p(x, p), (sa, ca)):
+            assert s == pytest.approx(float(s_ref), rel=1e-15), (p, x)
+            assert c == 1.0
+        assert tan_p(x, p) == pytest.approx(x, rel=1e-15)
+
+
+def test_tan_p_is_infinite_where_cos_p_is_zero():
+    hp = 0.5 * pi_p(2.0)
+    assert sin_cos_p(hp, 2.0)[1] == 0.0
+    assert tan_p(hp, 2.0) == math.inf and tan_p(-hp, 2.0) == -math.inf
+    # at p = 1.001, |cos_p|**p underflows well inside the branch
+    x = np.array([0.9, 0.99]) * 0.5 * pi_p(1.001)
+    assert np.all(sin_cos_p(x, 1.001)[1] == 0.0)
+    with np.errstate(all="raise"):
+        assert np.all(tan_p(x, 1.001) == np.inf)
+
+
+def test_sin_cos_p_rejects_p_where_beta_overflows():
+    # B(1/p, 1-1/p) ~ p overflows only within a few ulps of the largest
+    # float; pi_p stays finite there
+    p = np.finfo(float).max
+    assert pi_p(p) == pytest.approx(2.0, rel=1e-15)
+    for x in (0.5, np.array([0.5])):
+        with pytest.raises(ValueError, match="overflows"):
+            sin_cos_p(x, p)
+
+
+def test_non_finite_input_gives_nan():
     for p in [1.5, 3.0]:
-        sv = sin_p(x, p)
-        for i, xi in enumerate(x):
-            assert sin_p(float(xi), p) == pytest.approx(sv[i], abs=1e-15)
+        for x in [math.inf, -math.inf, math.nan, np.float64(np.inf)]:
+            s, c = sin_cos_p(x, p)
+            assert math.isnan(s) and math.isnan(c), (p, x)
+        with np.errstate(invalid="ignore"):
+            s, c = sin_cos_p(np.array([np.inf, -np.inf, np.nan]), p)
+        assert np.all(np.isnan(s)) and np.all(np.isnan(c))
