@@ -10,7 +10,8 @@ The first nontrivial eigenvalue of the p-Laplacian is computed two ways:
   sum(cell_w |Du|^p) / sum(w |u|^p) over the zero-p-mean constraint set
   by projected, weight-preconditioned, normalized subgradient descent
   with backtracking line search, warm-started through a coarse-to-fine
-  mesh hierarchy;
+  mesh hierarchy; the projection finds the p-mean shift by a
+  safeguarded Newton iteration;
 * solve_eigen_shooting (radial only): solves the phase-form comparison
   ODE once at lam = p-1, then rescales by the exact scale covariance
   lam(R) = (p-1) (b1/R)^p and samples the profile onto the mesh.
@@ -23,6 +24,7 @@ closed-form lower bounds for the gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -73,13 +75,15 @@ class Domain1D:
     def diff(self, values: np.ndarray) -> np.ndarray:
         """Forward difference per cell (periodic wrap on circles)."""
         if self.periodic:
-            return (np.roll(values, -1) - values) / self.spacing
+            return np.diff(values, append=values[:1]) / self.spacing
         return np.diff(values) / self.spacing
 
     def diff_adjoint(self, q: np.ndarray) -> np.ndarray:
         """Adjoint of diff against the plain (unweighted) node sum."""
         if self.periodic:
-            return (np.roll(q, 1) - q) / self.spacing
+            # (q[i-1] - q[i]), with the sign of zero that np.roll gives
+            mq = -q
+            return np.diff(mq, prepend=mq[-1:]) / self.spacing
         out = np.zeros(self.N)
         out[:-1] -= q / self.spacing
         out[1:] += q / self.spacing
@@ -185,37 +189,52 @@ def build_domain(kind: str, N: int, *, L: float | None = None,
 
 
 def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """The unique c with sum(weights * spow(values - c, p-1)) = 0.
+    """The unique c with g(c) = sum(weights * spow(values - c, p-1)) = 0.
 
-    The map is strictly decreasing in c, so bisection always converges;
-    for p >= 2 a Newton step (the derivative exists) accelerates it.
+    g is strictly decreasing in c, so [min, max] brackets the root.
+    Safeguarded Newton for every p > 1: it starts at c = 0 when the
+    bracket holds 0 (the descent's trial vectors have shift about 0)
+    and bisects whenever a Newton step would leave the bracket or fails
+    to halve the previous step.  Each pass takes one power |x|^(p-1)
+    and divides it by |x| for g'.  The pass bisects where that is not a
+    positive finite number: 0/0 at an exact zero of x (at p < 2, g' is
+    infinite there), an overflow next to one, or every term
+    underflowing at large p.  It stops when a step or the bracket is
+    below 1e-15 * max(1, |lo| + |hi|); in the descent that takes two to
+    three passes per call.
     """
     lo = float(values.min())
     hi = float(values.max())
     if hi - lo < 1e-300:
         return lo
-
-    def g(c):
-        return float(np.dot(weights, spow(values - c, p - 1.0)))
-
-    c = 0.5 * (lo + hi)
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    dx_old = hi - lo
     for _ in range(200):
-        gc = g(c)
+        x = values - c
+        ax = np.abs(x)
+        a = ax ** (p - 1.0)
+        gc = float(np.dot(weights, np.copysign(a, x)))
         if gc > 0.0:
             lo = c
-        else:
+        elif gc < 0.0:
             hi = c
-        nxt = None
-        if p >= 2.0:
-            dg = -(p - 1.0) * float(
-                np.dot(weights, np.abs(values - c) ** (p - 2.0))
-            )
-            if dg != 0.0 and np.isfinite(dg):
-                cand = c - gc / dg
-                if lo < cand < hi:
-                    nxt = cand
-        c = nxt if nxt is not None else 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, abs(hi) + abs(lo)):
+        else:
+            return c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dg = (p - 1.0) * float(np.dot(weights, a / ax))
+        step = gc / dg if 0.0 < dg < math.inf else math.nan
+        new = c + step
+        if not (lo <= new <= hi and abs(2.0 * step) <= abs(dx_old)):
+            new = 0.5 * (lo + hi)
+        dx_old = new - c
+        c = new
+        tol = 1e-15 * max(1.0, abs(hi) + abs(lo))
+        if hi - lo <= tol:
+            break
+        # a short step ends the search only if no kink of g lies within
+        # two steps of c: at p < 2 a tiny |x| inflates g' and makes any
+        # Newton step tiny, however far the root is
+        if abs(dx_old) <= tol and float(ax.min()) > 2.0 * abs(dx_old):
             break
     return c
 
@@ -234,12 +253,7 @@ def rayleigh_quotient(u: DiscreteFunction, p: float) -> float:
     """sum(cell_w |Du|^p) / sum(w |u|^p) after the zero-p-mean shift."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    dom = u.domain
-    v, _ = _project(dom, u.values, p)
-    dv = dom.diff(v)
-    num = float(np.dot(dom.cell_weights, np.abs(dv) ** p))
-    den = float(np.dot(dom.weights, np.abs(v) ** p))
-    return num / den
+    return _rq_raw(u.domain, _project(u.domain, u.values, p)[0], p)
 
 
 def _rq_raw(dom: Domain1D, v: np.ndarray, p: float) -> float:
@@ -253,7 +267,10 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
     """Projected preconditioned subgradient descent on one mesh level.
 
     Returns (values, rq, iterations, stopped_by) with stopped_by one of
-    "stall", "step_collapse", "gradient_zero", "cap".
+    "stall", "step_collapse", "gradient_zero", "cap".  Each line-search
+    trial costs one projection and one Rayleigh quotient, a few O(N)
+    array passes: the p-mean shift of a trial starts next to its root
+    and takes about two Newton passes.
     """
     v, _ = _project(dom, v, p)
     lam = _rq_raw(dom, v, p)

@@ -104,13 +104,12 @@ class Cache:
             )
         return self._certs[key]
 
-    def radial_eigs(self, n: float, p: float, N: int):
-        key = (n, p, N)
+    def radial_eig(self, solver, n: float, p: float, N: int):
+        """solver (shooting or variational) on the radial mesh, solved
+        once per key and only when a criterion asks for it."""
+        key = (solver, n, p, N)
         if key not in self._eigs:
-            dom = build_domain("radial", N, R=1.0, n=n)
-            rs = solve_eigen_shooting(dom, p)
-            rv = solve_eigen_variational(dom, p)
-            self._eigs[key] = (rs, rv)
+            self._eigs[key] = solver(build_domain("radial", N, R=1.0, n=n), p)
         return self._eigs[key]
 
 
@@ -350,7 +349,7 @@ def criterion_10(scope: str = "full", cache: Cache | None = None):
     reports = 0
     N = 2000 if scope == "full" else 600
     # radial case: sampled profile against the matched comparison model
-    rs, _ = cache.radial_eigs(3.0, 2.0, N)
+    rs = cache.radial_eig(solve_eigen_shooting, 3.0, 2.0, N)
     sol = solve_model(ModelProblem(PParams(2.0, 3.0, rs.lam), 0.0))
     rep = gradient_comparison_check(rs, sol)
     ok &= rep["passed"]
@@ -384,7 +383,8 @@ def criterion_11(scope: str = "full", cache: Cache | None = None):
     worst = 0.0
     ok = True
     for n, p in combos:
-        rs, rv = cache.radial_eigs(n, p, N)
+        rs = cache.radial_eig(solve_eigen_shooting, n, p, N)
+        rv = cache.radial_eig(solve_eigen_variational, n, p, N)
         rel = abs(rv.lam - rs.lam) / rs.lam
         worst = max(worst, rel)
         ok &= rel <= 5e-3
@@ -399,7 +399,7 @@ def criterion_12(scope: str = "full", cache: Cache | None = None):
     N = 2000 if scope == "full" else 600
     ok = True
     worst = 0.0
-    rs, _ = cache.radial_eigs(3.0, 2.0, N)
+    rs = cache.radial_eig(solve_eigen_shooting, 3.0, 2.0, N)
     sol = solve_model(ModelProblem(PParams(2.0, 3.0, rs.lam), 0.0))
     rep = E_profile(rs, sol)
     ok &= rep["monotone_ok"]

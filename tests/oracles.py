@@ -4,7 +4,7 @@ These re-derive key quantities through routes that share no code with
 the package internals: direct integration of the divergence-form ODE
 for the 1D comparison problem, classical special-function values for
 the p = 2 reductions, and extended-precision (mpmath) values of the
-p-trigonometric functions.
+p-trigonometric functions and of the p-mean shift.
 """
 
 from __future__ import annotations
@@ -160,3 +160,39 @@ def sin_cos_p_mp(x, p, dps=40):
             z = _solve_regularized_beta(b, a, 1 - y)
             u = 1 - z
         return sign_s * u ** a, z, sign_c
+
+
+def pmean_shift_mp(values, weights, p, dps=40):
+    """The c with sum(weights * spow(values - c, p-1)) = 0, in mpmath.
+
+    Plain bisection on [min, max] at dps digits for the exact binary
+    values of the floats; the sum is strictly decreasing in c, so the
+    bracket always holds the root.  Returns an mpf.
+    """
+    with mpmath.workdps(dps):
+        pm1 = mpmath.mpf(p) - 1
+        vs = [mpmath.mpf(float(v)) for v in values]
+        ws = [mpmath.mpf(float(w)) for w in weights]
+
+        def g(c):
+            total = mpmath.mpf(0)
+            for v, w in zip(vs, ws):
+                x = v - c
+                if x > 0:
+                    total += w * x**pm1
+                elif x < 0:
+                    total -= w * (-x) ** pm1
+            return total
+
+        lo, hi = min(vs), max(vs)
+        tol = mpmath.mpf(10) ** (-dps + 5) * max(1, abs(lo) + abs(hi))
+        while hi - lo > tol:
+            c = (lo + hi) / 2
+            gc = g(c)
+            if gc == 0:
+                return c
+            if gc > 0:
+                lo = c
+            else:
+                hi = c
+        return (lo + hi) / 2

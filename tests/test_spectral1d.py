@@ -5,12 +5,16 @@ Oracles:
 * the exact scale covariance of the radial problem, lam(R) =
   (p-1) (b1/R)^p, which makes the shooting backend self-checking;
 * cross-backend agreement (variational vs shooting) on radial domains;
-* closed-form bound values evaluated by hand at p = 2, d = pi.
+* closed-form bound values evaluated by hand at p = 2, d = pi;
+* an mpmath bisection for the p-mean shift (tests/oracles.py).
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from pspectral import (
     INFINITY,
@@ -31,6 +35,10 @@ from pspectral import (
 )
 from pspectral import spectral1d
 from pspectral._util import spow
+
+from oracles import pmean_shift_mp
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +131,125 @@ def test_rayleigh_rejects_constant():
     u = DiscreteFunction(dom, np.ones(64))
     with pytest.raises(ValueError):
         rayleigh_quotient(u, 2.0)
+
+
+# ------------------------------------------------------- p-mean shift
+
+def _shift_vectors(p):
+    """Named (values, weights) pairs: a shift next to 0 (where the
+    Newton start sits), 0 outside [min, max], exact zeros at the start
+    c = 0, and radial weights with w[0] = 0."""
+    rng = np.random.default_rng(2024)
+    flat = np.full(40, 1.0 / 40)
+    base = rng.standard_normal(40)
+    near = base - float(pmean_shift_mp(base, flat, p))
+    positive = (1.0 + rng.random(40), 0.5 + rng.random(40))
+    zeros = rng.standard_normal(40)
+    zeros[::5] = 0.0
+    dom = build_domain("radial", 40, R=1.0, n=3.0)
+    radial = np.cos(3.0 * dom.nodes) + 0.1 * rng.standard_normal(40)
+    return {"near_zero": (near, flat), "positive": positive,
+            "zeros": (zeros, flat), "radial": (radial, dom.weights)}
+
+
+@pytest.mark.parametrize("name", ["near_zero", "positive", "zeros", "radial"])
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 8.0])
+def test_pmean_shift_matches_mpmath_oracle(p, name):
+    # bound: one eps * max(1, |min| + |max|); bisection to the same
+    # stopping tolerance is off by up to 1.67 of those units on these
+    # vectors (positive, p = 2), the Newton iteration by at most 0.18
+    v, w = _shift_vectors(p)[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = spectral1d._pmean_shift(v, w, p)
+    ref = pmean_shift_mp(v, w, p)
+    scale = max(1.0, abs(v.min()) + abs(v.max()))
+    err = float(abs(ref - c)) / (EPS * scale)
+    assert err <= 1.0, (c, ref, err)
+
+
+@pytest.mark.parametrize("v, w", [
+    ([-1.0, 1e-300, 2.0, 0.5], [1.0] * 4),
+    ([2.225073858507e-311, -1.0], [6.0, 0.0]),
+    ([-1e-300, 5e-324, 1.0, 1.0], [1e-6, 1e-6, 1.0, 1.0]),
+])
+@pytest.mark.parametrize("p", [1.01, 1.05, 1.5, 1.9, 3.0])
+def test_pmean_shift_tiny_entry_next_to_the_start(v, w, p):
+    # an entry just off the start c = 0 makes g' huge there at p < 2 (at
+    # p = 1.01 it overflows in the last two vectors), so the first Newton
+    # step is tiny even where the root is far from 0 (near 1 in the last)
+    v, w = np.array(v), np.array(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = spectral1d._pmean_shift(v, w, p)
+    scale = max(1.0, abs(v.min()) + abs(v.max()))
+    assert abs(c - float(pmean_shift_mp(v, w, p))) <= 4.0 * EPS * scale
+
+
+def _g_and_rounding(v, w, p, c):
+    """g(c), and the bound on |g(c)| for a c within the root-finder's
+    tolerance of a root of g: rounding of the sum plus the largest
+    change of g over that tolerance."""
+    x = v - c
+    g = float(np.dot(w, spow(x, p - 1.0)))
+    total = float(np.dot(w, np.abs(x) ** (p - 1.0)))
+    delta = 2e-15 * max(1.0, abs(v.min()) + abs(v.max()))
+    moved = np.maximum(np.abs(spow(x + delta, p - 1.0) - spow(x, p - 1.0)),
+                       np.abs(spow(x - delta, p - 1.0) - spow(x, p - 1.0)))
+    rounding = 4.0 * (len(v) + p) * EPS * total
+    return g, rounding + float(np.dot(w, moved))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       p=st.floats(min_value=1.01, max_value=20.0, exclude_min=True),
+       size=st.integers(min_value=2, max_value=40))
+def test_pmean_shift_property(data, p, size):
+    # |values| <= 1e6 keeps |x|^(p-1) finite up to p = 20
+    values = np.array(data.draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6), min_size=size,
+        max_size=size)))
+    weights = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e3), min_size=size,
+        max_size=size)))
+    if values.min() == values.max() or not weights.any():
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = spectral1d._pmean_shift(values, weights, p)
+        g, bound = _g_and_rounding(values, weights, p, c)
+    assert values.min() <= c <= values.max()
+    assert abs(g) <= bound, (c, g, bound)
+
+
+# ------------------------------------------------- periodic differences
+
+@pytest.mark.parametrize("kind", ["circle", "segment"])
+def test_diff_adjoint_is_the_adjoint(kind):
+    rng = np.random.default_rng(5)
+    for N in (16, 17, 600):
+        dom = build_domain(kind, N, L=2.0)
+        x = rng.standard_normal(N)
+        q = rng.standard_normal(len(dom.cell_weights))
+        left = float(np.dot(dom.diff(x), q))
+        right = float(np.dot(x, dom.diff_adjoint(q)))
+        assert abs(left - right) <= 1e-13 * np.linalg.norm(dom.diff(x)) \
+            * np.linalg.norm(q)
+
+
+def test_circle_diff_bit_identical_to_roll():
+    # the periodic differences written with np.roll; repeated entries
+    # check the sign of a zero difference too
+    rng = np.random.default_rng(6)
+    for N in (16, 17, 600):
+        dom = build_domain("circle", N, L=2.0)
+        v = rng.standard_normal(N) * 10.0 ** rng.uniform(-5, 5, N)
+        v[3] = v[2]
+        v[-1] = v[0]
+        h = dom.spacing
+        assert dom.diff(v).tobytes() == ((np.roll(v, -1) - v) / h).tobytes()
+        assert dom.diff_adjoint(v).tobytes() == \
+            ((np.roll(v, 1) - v) / h).tobytes()
 
 
 def test_variational_segment_p2():
