@@ -196,10 +196,11 @@ def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     bracket holds 0 (the descent's trial vectors have shift about 0)
     and bisects whenever a Newton step would leave the bracket or fails
     to halve the previous step.  Each pass takes one power |x|^(p-1)
-    and divides it by |x| for g'.  The pass bisects where that is not a
-    positive finite number: 0/0 at an exact zero of x (at p < 2, g' is
-    infinite there), an overflow next to one, or every term
-    underflowing at large p.  It stops when a step or the bracket is
+    and divides it by |x| for g'; at an exact zero of x that quotient is
+    taken as its limit |x|^(p-2), 1 at p = 2 and 0 above.  The pass
+    bisects where g' is not a positive finite number: an exact zero of
+    x at p < 2 (g' is infinite there), an overflow next to one, or every
+    term underflowing at large p.  It stops when a step or the bracket is
     below 1e-15 * max(1, |lo| + |hi|); in the descent that takes two to
     three passes per call.
     """
@@ -222,6 +223,12 @@ def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
             return c
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dg = (p - 1.0) * float(np.dot(weights, a / ax))
+            if math.isnan(dg) and p >= 2.0:
+                # 0/0 at an exact zero of x, where |x|^(p-2) is 1 at
+                # p = 2 and 0 above: g' is finite there
+                r = np.divide(a, ax, out=np.full_like(a, float(p == 2.0)),
+                              where=ax > 0.0)
+                dg = (p - 1.0) * float(np.dot(weights, r))
         step = gc / dg if 0.0 < dg < math.inf else math.nan
         new = c + step
         if not (lo <= new <= hi and abs(2.0 * step) <= abs(dx_old)):

@@ -186,6 +186,31 @@ def test_pmean_shift_tiny_entry_next_to_the_start(v, w, p):
     assert abs(c - float(pmean_shift_mp(v, w, p))) <= 4.0 * EPS * scale
 
 
+class _CountedValues(np.ndarray):
+    """Counts `values - c`, which `_pmean_shift` evaluates once a pass."""
+    passes = 0
+
+    def __sub__(self, other):
+        type(self).passes += 1
+        return np.asarray(self) - other
+
+
+@pytest.mark.parametrize("p, most", [(2.0, 2), (2.5, 5), (3.0, 5), (8.0, 5)])
+def test_pmean_shift_newton_through_exact_zeros(p, most):
+    # at p >= 2, g' is finite at an exact zero of x (|x|^(p-2) is 1 at
+    # p = 2, 0 above), so the start c = 0 takes a Newton step; at p = 2
+    # that step lands on the root.  Bisecting there instead costs 8-12
+    # passes on this vector
+    v, w = _shift_vectors(p)["zeros"]
+    _CountedValues.passes = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = spectral1d._pmean_shift(v.view(_CountedValues), w, p)
+    assert _CountedValues.passes <= most
+    scale = max(1.0, abs(v.min()) + abs(v.max()))
+    assert abs(c - float(pmean_shift_mp(v, w, p))) <= EPS * scale
+
+
 def _g_and_rounding(v, w, p, c):
     """g(c), and the bound on |g(c)| for a c within the root-finder's
     tolerance of a root of g: rounding of the sum plus the largest

@@ -1,13 +1,14 @@
 """Paired benchmark runs of two checkouts, written to a BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \
-        --seed S [--pairs 10] [--seconds 52] --out BENCH_<pr>.json
+        --seed S [--pairs 10] --out BENCH_<pr>.json
 
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, one
-after the other; the side that runs first alternates from pair to pair,
-so a slow drift of the host's speed falls on both sides alike.  Every
-run is one JSON line of end-to-end metrics (the last line of its
-stdout).  The output file keeps, per workload, every pair's metrics,
+after the other, for the `run_seconds` that the change's BENCHMARK.json
+fixes; the side that runs first alternates from pair to pair, so a
+slow drift of the host's speed falls on both sides alike.  Every run is
+one JSON line of end-to-end metrics (the last line of its stdout).  The
+output file keeps, per workload, the run length, every pair's metrics,
 each side's median and quartiles, and how many pairs the change won on
 each metric (by the direction BENCHMARK.json gives it) or tied, plus
 the machine and the Python, numpy and scipy versions.  Workloads
@@ -68,11 +69,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=52.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     for i in range(args.pairs):
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
         row = {"pair": i + 1, "first": order[0]}
         for side in order:
             row[side] = run_side(sides[side], args.workload, args.seed,
-                                 args.seconds)
+                                 seconds)
         pairs.append(row)
         print(f"pair {row['pair']:2d} ({order[0]} first): wall_s parent "
               f"{row['parent']['wall_s']:.3f} change "
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["machine"] = machine()
     doc.setdefault("workloads", {})[args.workload] = {
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+        "seed": args.seed, "run_seconds": seconds, "pairs": args.pairs,
         "command": "perfbench/run.py --trace 0",
         "summary": summary, "runs": pairs,
     }
