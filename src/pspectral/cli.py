@@ -34,7 +34,6 @@ from ._util import json_safe
 from .bochner import bochner_residual, catalog, p_laplacian_at
 from .comparison import build_certificate, kappa_check
 from .model1d import (
-    CERTIFICATE_MAX_STEP,
     ModelProblem,
     PParams,
     delta_scan,
@@ -153,11 +152,11 @@ def _cmd_ptrig(args) -> int:
 
 # ---------------------------------------------------------------- model
 
-def _solve_from_args(args, max_step=None):
+def _solve_from_args(args):
     lam = args.lam if args.lam is not None else args.p - 1.0
     prob = ModelProblem(PParams(p=args.p, n_dim=args.n, lam=lam),
                         a=_parse_a(args.a))
-    return solve_model(prob, max_step=max_step)
+    return solve_model(prob)
 
 
 def _cmd_model(args) -> int:
@@ -195,7 +194,7 @@ def _cmd_delta_scan(args) -> int:
 # -------------------------------------------------------------- certify
 
 def _cmd_certify(args) -> int:
-    sol = _solve_from_args(args, max_step=CERTIFICATE_MAX_STEP)
+    sol = _solve_from_args(args)
     eps = args.epsilon if args.epsilon is not None else 1e-3 * sol.delta
     cert = build_certificate(sol, epsilon=eps, offset=args.offset,
                              a3_tol=args.a3_tol)

@@ -23,7 +23,9 @@ m_max = w(b).  One integrator serves every lam: it takes alpha as a
 parameter.  solve_model calls it at lam = p-1 (alpha = 1) and maps the
 results back through the exact scale covariance t -> alpha*t of the
 equation; the tests call it at the requested alpha to check that
-covariance.
+covariance.  There is one solve setting, DOP853 at rtol 1e-13 and
+atol 1e-14 with no step cap, shared by the CLI, the certificate and the
+acceptance suite.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ __all__ = [
     "ModelProblem",
     "ModelSolution",
     "solve_model",
-    "CERTIFICATE_MAX_STEP",
     "delta_scan",
-    "integrate_phase",
 ]
 
 INFINITY = math.inf
@@ -255,24 +255,22 @@ def _phase_rhs(p: float, n: float, alpha: float):
     return rhs
 
 
-def _phase_start(p: float, n: float, a: float, alpha: float, h0: float):
-    """Start time and state [phi, log e - log alpha] of the orbit from a."""
-    hp = 0.5 * pi_p(p)
-    if a > 0.0:
-        return a, [-hp, 0.0]
-    # The drift term is 0/0 at t = 0: freeze the first step at the
-    # limiting rate phi'(0) = alpha/n, starting from t = h0/alpha.
-    return h0 / alpha, [-hp + h0 / n, 0.0]
-
-
-def _solve_phase(p, n, a, alpha, rtol, atol, max_step, h0):
+def _solve_phase(p, n, a, alpha, rtol, atol, h0):
     """Integrate the phase system at scale alpha from a to the first
     phi = pi_p/2.
 
-    Returns (b, t0, log_m, dense) in the time scale of alpha.
+    DOP853's 7th-order dense output is what the certificate's
+    finite-difference probes (a3 residual, kappa rate) differentiate;
+    it is smooth enough for them without a step cap.  Returns
+    (b, t0, log_m, dense) in the time scale of alpha.
     """
     hp = 0.5 * pi_p(p)
-    t_start, y0 = _phase_start(p, n, a, alpha, h0)
+    if a > 0.0:
+        t_start, y0 = a, [-hp, 0.0]
+    else:
+        # The drift term is 0/0 at t = 0: freeze the first step at the
+        # limiting rate phi'(0) = alpha/n, starting from t = h0/alpha.
+        t_start, y0 = h0 / alpha, [-hp + h0 / n, 0.0]
 
     def ev_zero(t, y):
         return y[0]
@@ -286,16 +284,9 @@ def _solve_phase(p, n, a, alpha, rtol, atol, max_step, h0):
     ev_top.direction = 1.0
 
     t_max = max(a, t_start) + 1.05 * n * 2.0 * hp / alpha + 1.0
-    kwargs = dict(
-        events=[ev_zero, ev_top],
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        method="RK45",
-    )
-    if max_step is not None:
-        kwargs["max_step"] = max_step
-    sol = solve_ivp(_phase_rhs(p, n, alpha), (t_start, t_max), y0, **kwargs)
+    sol = solve_ivp(_phase_rhs(p, n, alpha), (t_start, t_max), y0,
+                    method="DOP853", events=[ev_zero, ev_top],
+                    rtol=rtol, atol=atol, dense_output=True)
     if len(sol.t_events[1]) == 0:
         raise RuntimeError(
             f"phase never reached pi_p/2 before t = {t_max:.3g} "
@@ -309,14 +300,6 @@ def _solve_phase(p, n, a, alpha, rtol, atol, max_step, h0):
     return b_n, t0_n, log_m, sol
 
 
-# Step cap (original time scale) for solutions that feed a certificate.
-# Its finite-difference probes (a3 residual, kappa rate) differentiate
-# the dense output, so interpolation error between wide default steps
-# shows up there: at p = 1.2, n = 3, a = 1 the a3 residual is 2.1e-4
-# at the default step against its 1e-6 bound, and 3.0e-7 at this cap.
-CERTIFICATE_MAX_STEP = 2e-3
-
-
 # Largest phase error accepted at the located critical point b, relative
 # to max(1, b) in the normalized time scale; a larger one means the event
 # location failed.
@@ -326,9 +309,8 @@ _PHASE_CHECK_TOL = 1e-9
 def solve_model(
     prob: ModelProblem,
     *,
-    rtol: float = 1e-12,
-    atol: float = 1e-13,
-    max_step: float | None = None,
+    rtol: float = 1e-13,
+    atol: float = 1e-14,
 ) -> ModelSolution:
     """Solve the model problem and locate b, t0, delta, m_max.
 
@@ -338,9 +320,9 @@ def solve_model(
     Parameters
     ----------
     prob : ModelProblem
-    rtol, atol : integrator step tolerances
-    max_step : optional cap on the integrator step (original time scale);
-        pass CERTIFICATE_MAX_STEP for a solution that feeds a certificate
+    rtol, atol : integrator step tolerances.  The defaults are the one
+        setting every caller shares, the CLI, the certificate and
+        `verify` alike; tighter values serve self-checks.
 
     Raises RuntimeError if event localization fails.
     """
@@ -366,9 +348,8 @@ def solve_model(
         )
 
     scale = alpha  # normalized time is alpha * t
-    ms = None if max_step is None else max_step * scale
     b_n, t0_n, log_m, dense = _solve_phase(
-        p, n, prob.a * scale, 1.0, rtol, atol, ms, _DEFAULT_H0
+        p, n, prob.a * scale, 1.0, rtol, atol, _DEFAULT_H0
     )
     diagnostics = {"nfev": int(dense.nfev), "closed_form": False}
 
@@ -432,46 +413,3 @@ def delta_scan(a_grid, params: PParams):
             )
     return rows
 
-
-def integrate_phase(prob: ModelProblem, phi_target: float) -> float:
-    """Continue the phase past b until phi reaches phi_target.
-
-    The phase is monotone increasing, so the orbit crosses each odd
-    multiple of pi_p/2 (where the right-hand side loses smoothness)
-    exactly once; integration restarts at every crossing so each
-    segment sees a smooth field.  Returns the time of first arrival at
-    phi_target, in the original scale.
-    """
-    pp = prob.params
-    p, n = pp.p, pp.n_dim
-    hp = 0.5 * pi_p(p)
-    if prob.a == INFINITY:
-        return (phi_target + hp) / pp.alpha
-    rhs = _phase_rhs(p, n, 1.0)
-    t, y = _phase_start(p, n, prob.a * pp.alpha, 1.0, _DEFAULT_H0)
-
-    target = float(phi_target)
-    if target <= y[0]:
-        raise ValueError("phi_target must exceed the initial phase -pi_p/2")
-    for _ in range(1000):
-        k = math.floor((y[0] + hp) / (2.0 * hp))
-        next_kink = (2 * k + 1) * hp
-        stop = min(next_kink, target)
-
-        def ev_stop(tt, yy, _s=stop):
-            return yy[0] - _s
-
-        ev_stop.terminal = True
-        ev_stop.direction = 1.0
-        span = 1.05 * n * (stop - y[0]) + 1.0
-        sol = solve_ivp(
-            rhs, (t, t + span), y, events=[ev_stop], rtol=1e-12, atol=1e-13
-        )
-        if len(sol.t_events[0]) == 0:
-            raise RuntimeError("phase continuation failed to reach its target")
-        t = float(sol.t_events[0][0])
-        y = [float(v) for v in sol.y_events[0][0]]
-        y[0] = stop  # land exactly on the kink / target
-        if stop >= target:
-            return t / pp.alpha
-    raise RuntimeError("phase continuation exceeded the segment limit")

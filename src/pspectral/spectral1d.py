@@ -257,10 +257,17 @@ def _project(dom: Domain1D, values: np.ndarray, p: float):
 
 
 def rayleigh_quotient(u: DiscreteFunction, p: float) -> float:
-    """sum(cell_w |Du|^p) / sum(w |u|^p) after the zero-p-mean shift."""
+    """sum(cell_w |Du|^p) / sum(w |u|^p) after the zero-p-mean shift.
+
+    The quotient is scale-invariant, so the values are first divided by
+    2^(e-1), e the frexp exponent of max|u|: an exact division that puts
+    max|u| in [1, 2), where the powers can neither overflow nor underflow.
+    """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    return _rq_raw(u.domain, _project(u.domain, u.values, p)[0], p)
+    e = math.frexp(float(np.max(np.abs(u.values))))[1]
+    v = np.ldexp(u.values, 1 - e)
+    return _rq_raw(u.domain, _project(u.domain, v, p)[0], p)
 
 
 def _rq_raw(dom: Domain1D, v: np.ndarray, p: float) -> float:

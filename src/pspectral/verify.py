@@ -31,7 +31,6 @@ from .bochner import (
 )
 from .comparison import build_certificate, kappa_check
 from .model1d import (
-    CERTIFICATE_MAX_STEP,
     INFINITY,
     ModelProblem,
     PParams,
@@ -92,7 +91,7 @@ class Cache:
         key = (p, n, a)
         if key not in self._models:
             prob = ModelProblem(PParams(p=p, n_dim=n, lam=p - 1.0), a=a)
-            self._models[key] = solve_model(prob, max_step=CERTIFICATE_MAX_STEP)
+            self._models[key] = solve_model(prob)
         return self._models[key]
 
     def certificate(self, p: float, n: float, a: float):

@@ -3,10 +3,11 @@ reference case (p=2, n=3, a=1, lam=1).
 
 Run from the repository root:  python3 tests/data/make_certificate_fixture.py
 
-The script builds the certificate twice -- once at production settings
-and once with halved integrator steps and tightened tolerances -- and
-refuses to write the fixture if the two grids disagree beyond the
-advertised tolerance, so the frozen file is self-oracled.
+The script builds the certificate twice -- once from the model solve at
+its default tolerances (rtol 1e-13, atol 1e-14) and once at tolerances
+tightened to 2.5e-14 and 2.5e-15 (scipy floors rtol at 100 machine
+epsilons) -- and refuses to write the fixture if the two grids disagree
+beyond the advertised tolerance, so the frozen file is self-oracled.
 """
 
 import csv
@@ -17,32 +18,29 @@ import numpy as np
 
 from pspectral import ModelProblem, PParams, solve_model
 from pspectral.comparison import build_certificate
-from pspectral.model1d import CERTIFICATE_MAX_STEP
 
 TOL = 1e-8
 COLS = ["t", "X", "f", "eta_of_f", "beta_of_f", "y1", "y2", "kappa",
         "slack1", "slack2", "a3_residual"]
 
 
-def build(max_step, rtol, atol):
-    sol = solve_model(
-        ModelProblem(PParams(2.0, 3, 1.0), 1.0),
-        max_step=max_step, rtol=rtol, atol=atol,
-    )
+def build(**tolerances):
+    sol = solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0), **tolerances)
     return build_certificate(sol)
 
 
 def main():
-    cert = build(CERTIFICATE_MAX_STEP, 1e-12, 1e-13)
-    fine = build(CERTIFICATE_MAX_STEP / 2.0, 1e-13, 1e-14)
+    cert = build()
+    fine = build(rtol=2.5e-14, atol=2.5e-15)
     worst = 0.0
     for c in ("X", "f", "kappa", "slack1", "slack2"):
         dev = np.max(np.abs(cert.grid[c] - fine.grid[c])
                      / np.maximum(1.0, np.abs(fine.grid[c])))
         worst = max(worst, float(dev))
-        print(f"  step-halving dev[{c}] = {dev:.2e}")
+        print(f"  tightened-tolerance dev[{c}] = {dev:.2e}")
     if worst > TOL:
-        sys.exit(f"refusing to freeze: step-halving deviation {worst:.2e} > {TOL}")
+        sys.exit(f"refusing to freeze: tightened-tolerance deviation "
+                 f"{worst:.2e} > {TOL}")
     out = pathlib.Path(__file__).with_name("certificate_2311.csv")
     with out.open("w", newline="") as fh:
         wr = csv.writer(fh)

@@ -156,7 +156,8 @@ def test_certify_verdict_failure_exit_code(capsys):
 
 
 def test_certify_uses_certificate_grade_step(capsys):
-    # at the default step the dense-output error pushes max|a3| to 2e-4
+    # the a3 probe differentiates the dense output: RK45's 4th-order one
+    # put max|a3| at 2.1e-4 here without a step cap; DOP853's gives 3.4e-7
     code, out, _ = run_cli(capsys, "certify", "--p", "1.2", "--n", "3",
                            "--a", "1")
     assert code == 0

@@ -1,8 +1,9 @@
 """Tests for the certificate module.
 
 The reference case (p=2, n=3, a=1, lam=1) has its full certificate grid
-frozen in data/certificate_2311.csv, generated by
-data/make_certificate_fixture.py with a step-halving self-check.
+frozen in data/certificate_2311.csv.  data/make_certificate_fixture.py
+regenerates it, and refuses to unless a solve at tightened tolerances
+agrees.
 """
 
 import csv
@@ -21,7 +22,6 @@ from pspectral import (
     tan_p,
 )
 from pspectral._util import spow
-from pspectral.model1d import CERTIFICATE_MAX_STEP
 from pspectral.comparison import (
     X_of,
     a3_residual,
@@ -36,8 +36,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture(scope="module")
 def ref_sol():
-    return solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0),
-                       max_step=CERTIFICATE_MAX_STEP)
+    return solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +68,7 @@ def test_X_of_basic(ref_sol):
 def test_X_derivative_law():
     # d/dt X^(p-1) = (p-1) lam^(1/(p-1)) |X|^(p-2) - T X^(p-1) + |X|^(2p-2)
     for p, n, a, lam in [(2.0, 3, 1.0, 1.0), (2.5, 2, 0.5, 1.5)]:
-        sol = solve_model(ModelProblem(PParams(p, n, lam), a),
-                          max_step=CERTIFICATE_MAX_STEP)
+        sol = solve_model(ModelProblem(PParams(p, n, lam), a))
         lam1 = lam ** (1.0 / (p - 1.0))
         ts = np.linspace(sol.a_eff + 0.15 * sol.delta, sol.b - 0.15 * sol.delta, 21)
         ts = ts[np.abs(ts - sol.t0) > 0.05 * sol.delta]
@@ -126,7 +124,8 @@ def test_factorization_identity(ref_cert, ref_sol):
 
 
 def test_certificate_against_frozen_fixture(ref_cert):
-    # frozen grid, generated after a step-halving self-check (1e-13 there)
+    # frozen grid from an RK45 solve with a step cap; the DOP853 solve
+    # is 1.4e-12 off it
     with (DATA / "certificate_2311.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(ref_cert.grid["t"])
@@ -158,8 +157,7 @@ def test_certificate_structure(ref_cert, ref_sol):
 
 def test_certificate_parameter_sweep():
     for p, n, a, lam in [(1.5, 2, 0.1, 0.5), (3.0, 3, 0.1, 2.0), (3.0, 2, 10.0, 2.0)]:
-        sol = solve_model(ModelProblem(PParams(p, n, lam), a),
-                          max_step=CERTIFICATE_MAX_STEP)
+        sol = solve_model(ModelProblem(PParams(p, n, lam), a))
         cert = build_certificate(sol)
         assert cert.all_ok, (p, n, a, lam, cert.verdict)
 

@@ -21,7 +21,7 @@ from pspectral import (
     sin_p,
     solve_model,
 )
-from pspectral.model1d import _DEFAULT_H0, _solve_phase, integrate_phase
+from pspectral.model1d import _DEFAULT_H0, _solve_phase
 
 from oracles import bessel_case_n2, solve_divergence_form, spherical_case_n3
 
@@ -91,7 +91,7 @@ def test_divergence_form_cross_check(p, n, a, lam):
 
 def _direct(p, n, a, alpha, h0=_DEFAULT_H0):
     """The phase integrator run at the requested alpha (no rescaling)."""
-    return _solve_phase(p, n, a, alpha, 1e-12, 1e-13, None, h0)
+    return _solve_phase(p, n, a, alpha, 1e-13, 1e-14, h0)
 
 
 def test_scale_covariance():
@@ -180,26 +180,6 @@ def test_consistency_w_reconstruction():
         assert np.max(np.abs(rec - direct)) < 1e-8
 
 
-def test_oscillation_continuation():
-    # independent oracle: for p=2, n=2, lam=1 the phase reaches 3*pi/2 at the
-    # second critical point of -J0, i.e. the Bessel zero j_{1,2}
-    from scipy.special import jn_zeros
-
-    pp = PParams(2.0, 2, 1.0)
-    t_reach = integrate_phase(ModelProblem(pp, 0.0), 1.5 * math.pi)
-    assert abs(t_reach - float(jn_zeros(1, 2)[1])) < 1e-8
-    # generic p: the phase passes 3*pi_p/2 in finite time (oscillation),
-    # beyond the first critical point
-    pp2 = PParams(3.0, 3, 2.0)
-    sol = solve_model(ModelProblem(pp2, 0.5))
-    t2 = integrate_phase(ModelProblem(pp2, 0.5), 1.5 * pi_p(3.0))
-    assert t2 > sol.b
-    assert math.isfinite(t2)
-    # driftless case is exact
-    t3 = integrate_phase(ModelProblem(pp2, INFINITY), 1.5 * pi_p(3.0))
-    assert abs(t3 - 2.0 * pi_p(3.0) / pp2.alpha) < 1e-14
-
-
 def test_delta_scan_rows():
     pp = PParams(1.5, 2, 1.0)
     rows = delta_scan([0.5, INFINITY, 2.0], pp)
@@ -247,9 +227,19 @@ def test_state_matches_w_and_wdot(a):
         assert np.ndim(w) == np.ndim(t) and np.ndim(wdot) == np.ndim(t)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("a", [0.0, 0.7])
-def test_w_inverse_bracketed_newton(p, a):
+# a = 0 starts the solve at t = h0/alpha = 1e-7; phase_fn clamps the
+# gap [0, 1e-7) to the first mesh time, so w is flat there while wdot,
+# at p = 6, already reads 4.4e-2 and puts those points inside the mask
+_FLAT_START = pytest.mark.xfail(
+    strict=True, reason="w is clamped flat on [0, h0/alpha) while "
+    "|wdot| > 1e-2 there at p = 6, so the inverse misses by 1e-7")
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("a", [0.0, 0.1, 0.7, 3.0])
+def test_w_inverse_bracketed_newton(p, a, request):
+    if (p, a) == (6.0, 0.0):
+        request.applymarker(_FLAT_START)
     sol = solve_model(ModelProblem(PParams(p, 3, p - 1.0), a))
     lo, hi = sol.a_eff, sol.b
     # offsets down to 1e-12 from both ends, where wdot vanishes

@@ -126,6 +126,18 @@ def test_rayleigh_sinp_equality_profile():
         assert rq / (p - 1.0) == pytest.approx(1.0, rel=1e-5)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_rayleigh_quotient_is_scale_free(scale):
+    # p = 3 overflows |u|^p at 1e200 and underflows it to zero at 1e-200
+    dom = build_domain("segment", 32, x0=0.0, x1=1.0)
+    base = np.cos(np.pi * dom.nodes)
+    ref = rayleigh_quotient(DiscreteFunction(dom, base), 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rayleigh_quotient(DiscreteFunction(dom, scale * base), 3.0)
+    assert got == pytest.approx(ref, rel=1e-14)
+
+
 def test_rayleigh_rejects_constant():
     dom = build_domain("circle", 64, L=2.0)
     u = DiscreteFunction(dom, np.ones(64))
