@@ -16,19 +16,32 @@ to verify pointwise identities and inequalities for the p-Laplacian:
 * eigen_estimate_check: the eigenfunction form of that bound, with the
   eigen-equation precondition measured and enforced.
 
-Stencils: 5-point, order 4 for first and second derivatives; order 2
-for third derivatives.  Fields are evaluated in one batched call when
-the evaluator accepts a (dim, N) array (all catalog fields do), with a
-transparent per-point fallback otherwise.
+Stencils are data: one cached table per (dim, third) holds the node
+offsets and each derivative entry's weights over them (5-point, order 4
+for first and second derivatives, order 2 for third derivatives; a
+mixed entry takes the product of 1-d weights).  Derivatives at one
+point (dim,) or at each row of a batch (N, dim) cost one field
+evaluation over all their nodes, so the nested fields |grad u|^p and
+Delta_p u evaluate their whole outer stencil with one batched inner
+call.  Fields are evaluated in one call when the evaluator accepts a
+(dim, N) array (all catalog fields do), with a transparent per-point
+fallback otherwise.  The entry points reject p <= 1 and steps that are
+not finite and positive, and report floating-point overflow as
+ValueError.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import spow
+from .ptrig import _pval
 
 __all__ = [
     "ScalarField",
@@ -50,9 +63,19 @@ _HESSIAN_TOL = 1e-10
 # "the field is an eigenfunction here", measured with its own stencils.
 _EIGEN_PRE_TOL = 1e-5
 
-_W1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # f' * h, order 4
-_W2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # f'' * h^2, order 4
-_OFF = (-2, -1, 0, 1, 2)
+# 1-d weights {offset: w} of f^(k) h^k by the derivative order k along an
+# axis: order-4 accurate for entries of total order 1 and 2, order-2
+# accurate for the third-derivative entries.
+_ORDER4 = {
+    1: {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12},
+    2: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
+}
+_ORDER2 = {
+    1: {-1: -0.5, 1: 0.5},
+    2: {-1: 1.0, 0: -2.0, 1: 1.0},
+    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+}
+_RULES = {1: _ORDER4, 2: _ORDER4, 3: _ORDER2}
 
 
 @dataclass(frozen=True)
@@ -91,129 +114,82 @@ class DiffReport:
     est_error: float
 
 
+def _guarded(fn):
+    """Run an entry point with numpy overflow, division by zero and
+    invalid operations (and Python float overflow) raised as ValueError."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise ValueError(f"{fn.__name__}: floating-point failure "
+                             f"({exc})") from None
+
+    return run
+
+
 def _eval_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
     """Evaluate at all rows of pts (N, dim), batched when possible."""
     ev = field.evaluator
-    vals = None
     try:
-        out = np.asarray(ev(pts.T), dtype=float)
-        if out.shape == (len(pts),):
-            vals = out
+        vals = np.asarray(ev(pts.T), dtype=float)
     except Exception:
         vals = None
-    if vals is None:
+    if vals is None or vals.shape != (len(pts),):
         vals = np.array([float(ev(p)) for p in pts], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("field evaluation produced non-finite values")
     return vals
 
 
-def _stencil_offsets(d: int, third: bool):
-    """Integer offset vectors needed by all requested stencils."""
-    offs = {}
-
-    def add(vec):
-        offs[tuple(vec)] = None
-
-    zero = [0] * d
-    add(zero)
-    for i in range(d):
-        for o in _OFF:
-            v = list(zero)
-            v[i] = o
-            add(v)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for oi in (-2, -1, 1, 2):
-                for oj in (-2, -1, 1, 2):
-                    v = list(zero)
-                    v[i], v[j] = oi, oj
-                    add(v)
-    if third:
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                for oi in (-1, 0, 1):
-                    for oj in (-1, 1):
-                        v = list(zero)
-                        v[i], v[j] = oi, oj
-                        add(v)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    for oi in (-1, 1):
-                        for oj in (-1, 1):
-                            for ok in (-1, 1):
-                                v = list(zero)
-                                v[i], v[j], v[k] = oi, oj, ok
-                                add(v)
-    return list(offs)
+@functools.lru_cache(maxsize=None)
+def _stencil(dim: int, third: bool):
+    """Node offsets (K, dim) and the weights of the gradient (dim, K1),
+    the Hessian (dim, dim, K2) and, when third, the third-derivative
+    tensor (dim, dim, dim, K) (else None), all in units of the step.
+    Each order's weights span the first K1 <= K2 <= K nodes it uses, so
+    the gradient and Hessian do not depend on third."""
+    nodes, weights = {}, [None, None, None]
+    for order in (1, 2, 3) if third else (1, 2):
+        entries = []
+        for idx in itertools.product(range(dim), repeat=order):
+            count = collections.Counter(idx)
+            rules = [_RULES[order][k].items() for k in count.values()]
+            for terms in itertools.product(*rules):
+                off, w = [0] * dim, 1.0
+                for axis, (o, wo) in zip(count, terms):
+                    off[axis] = o
+                    w *= wo
+                node = nodes.setdefault(tuple(off), len(nodes))
+                entries.append((idx + (node,), w))
+        weights[order - 1] = np.zeros((dim,) * order + (len(nodes),))
+        for key, w in entries:
+            weights[order - 1][key] = w
+    return (np.array(list(nodes), dtype=float), *weights)
 
 
-def _derivs(field: ScalarField, point: np.ndarray, h: float, third: bool):
-    d = field.dim
-    keys = _stencil_offsets(d, third)
-    index = {k: n for n, k in enumerate(keys)}
-    pts = point[None, :] + h * np.array(keys, dtype=float)
-    vals = _eval_many(field, pts)
-
-    def v(*off):
-        vec = [0] * d
-        for axis, o in off:
-            vec[axis] = o
-        return vals[index[tuple(vec)]]
-
-    grad = np.empty(d)
-    hess = np.empty((d, d))
-    for i in range(d):
-        col = np.array([v((i, o)) for o in _OFF])
-        grad[i] = np.dot(_W1, col) / h
-        hess[i, i] = np.dot(_W2, col) / h**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            acc = 0.0
-            for oi, wi in zip(_OFF, _W1):
-                if wi == 0.0:
-                    continue
-                for oj, wj in zip(_OFF, _W1):
-                    if wj == 0.0:
-                        continue
-                    acc += wi * wj * v((i, oi), (j, oj))
-            hess[i, j] = hess[j, i] = acc / h**2
-
-    tens = None
-    if third:
-        tens = np.empty((d, d, d))
-        for i in range(d):
-            tens[i, i, i] = (
-                v((i, 2)) - 2.0 * v((i, 1)) + 2.0 * v((i, -1)) - v((i, -2))
-            ) / (2.0 * h**3)
-        c2 = {-1: 1.0, 0: -2.0, 1: 1.0}
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                acc = 0.0
-                for oi in (-1, 0, 1):
-                    acc += c2[oi] * (v((i, oi), (j, 1)) - v((i, oi), (j, -1)))
-                val = acc / (2.0 * h**3)
-                tens[i, i, j] = tens[i, j, i] = tens[j, i, i] = val
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    acc = 0.0
-                    for oi in (-1, 1):
-                        for oj in (-1, 1):
-                            for ok in (-1, 1):
-                                acc += oi * oj * ok * v((i, oi), (j, oj), (k, ok))
-                    val = acc / (8.0 * h**3)
-                    for perm in ((i, j, k), (i, k, j), (j, i, k),
-                                 (j, k, i), (k, i, j), (k, j, i)):
-                        tens[perm] = val
-    return grad, hess, tens
+def _derivs(field: ScalarField, points, h: float, third: bool):
+    """Gradient, Hessian and third-derivative tensor (None unless third)
+    at one point (dim,) or at each row of a batch (N, dim); one
+    _eval_many call covers every stencil node of every point."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step must be finite and positive, got {h!r}")
+    offsets, *weights = _stencil(field.dim, third)
+    nodes = np.asarray(points, dtype=float)[..., None, :] + h * offsets
+    lead = nodes.shape[:-2]
+    vals = _eval_many(field, nodes.reshape(-1, field.dim))
+    vals = vals.reshape(lead + (1, len(offsets)))
+    # one pairwise sum per entry and point: a batch row matches its
+    # single-point result bit for bit
+    return tuple(
+        None if w is None else np.sum(vals[..., :w.shape[-1]] * w.reshape(
+            -1, w.shape[-1]), axis=-1).reshape(lead + w.shape[:-1]) / h**k
+        for k, w in enumerate(weights, 1))
 
 
+@_guarded
 def differentiate(
     field: ScalarField,
     point,
@@ -226,90 +202,85 @@ def differentiate(
     est_error compares against a halved-step evaluation; pass
     estimate_error=False to skip that second pass (est_error = nan).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     point = np.asarray(point, dtype=float)
     if point.shape != (field.dim,):
         raise ValueError(f"point must have shape ({field.dim},)")
     g, h_, t = _derivs(field, point, step, third)
+    est = float("nan")
     if estimate_error:
-        g2, h2, t2 = _derivs(field, point, step / 2.0, third)
-        est = max(
-            float(np.max(np.abs(g - g2))),
-            float(np.max(np.abs(h_ - h2))),
-            float(np.max(np.abs(t - t2))) if third else 0.0,
-        )
-    else:
-        est = float("nan")
+        halved = _derivs(field, point, step / 2.0, third)
+        est = max(float(np.max(np.abs(x - y)))
+                  for x, y in zip((g, h_, t), halved) if x is not None)
     return DiffReport(point=point, grad=g, hess=h_, third=t, step=step,
                       est_error=est)
 
 
-def _field_scale(field: ScalarField, point) -> float:
-    return max(1.0, abs(float(_eval_many(field, np.asarray(point, float)[None, :])[0])))
-
-
-def _require_gradient(field, point, grad):
-    gn = float(np.linalg.norm(grad))
-    if gn < 1e-8 * _field_scale(field, point):
-        raise ValueError(
-            f"degenerate gradient |grad| = {gn:.2e} at {np.asarray(point)}"
-        )
+def _require_gradient(field, points, grad):
+    """|grad| at one point or each row of a batch; ValueError where it
+    is below 1e-8 max(1, |u|)."""
+    gn = np.linalg.norm(grad, axis=-1)
+    pts = np.reshape(points, (-1, field.dim))
+    scale = np.maximum(1.0, np.abs(_eval_many(field, pts))).reshape(gn.shape)
+    bad = np.flatnonzero(gn < 1e-8 * scale)
+    if bad.size:
+        raise ValueError(f"degenerate gradient |grad| = "
+                         f"{gn.flat[bad[0]]:.2e} at {pts[bad[0]]}")
     return gn
 
 
+def _operator(field: ScalarField, points, p: float, step: float):
+    """(grad, Hessian, |grad u|, A_u, Delta_p u) at one point or each
+    row of a batch; rejects degenerate-gradient points."""
+    g, h_, _ = _derivs(field, points, step, third=False)
+    gn = _require_gradient(field, points, g)
+    a = np.einsum("...i,...ij,...j->...", g, h_, g) / (gn * gn)
+    dpu = gn ** (p - 2.0) * (np.trace(h_, axis1=-2, axis2=-1) + (p - 2.0) * a)
+    return g, h_, gn, a, dpu
+
+
+def _pII(g, gn, hess, p: float):
+    """[|g|^(p-2) I + (p-2)|g|^(p-4) g g^T] : hess."""
+    return (gn ** (p - 2.0) * np.trace(hess)
+            + (p - 2.0) * gn ** (p - 4.0) * (g @ hess @ g))
+
+
+@_guarded
 def p_laplacian_at(field: ScalarField, point, p: float, step: float = DEFAULT_STEP) -> float:
     """|grad u|^(p-2) (tr H + (p-2) A_u) at the point; rejects
     degenerate-gradient points."""
-    point = np.asarray(point, dtype=float)
-    g, h_, _ = _derivs(field, point, step, third=False)
-    gn = _require_gradient(field, point, g)
-    a = g @ h_ @ g / (gn * gn)
-    return gn ** (p - 2.0) * (float(np.trace(h_)) + (p - 2.0) * a)
+    return _operator(field, np.asarray(point, dtype=float), _pval(p), step)[4]
 
 
+@_guarded
 def pII_at(field_u: ScalarField, field_g: ScalarField, point, p: float,
            step: float = DEFAULT_STEP) -> float:
     """Contract [|g|^(p-2) I + (p-2)|g|^(p-4) g g^T] with Hess(field_g)."""
+    p = _pval(p)
     if field_u.dim != field_g.dim:
         raise ValueError("fields must share a dimension")
     point = np.asarray(point, dtype=float)
-    gu, _, _ = _derivs(field_u, point, step, third=False)
-    gn = _require_gradient(field_u, point, gu)
+    gu, _, gn, _, _ = _operator(field_u, point, p, step)
     _, hg, _ = _derivs(field_g, point, step, third=False)
-    return gn ** (p - 2.0) * float(np.trace(hg)) + (p - 2.0) * gn ** (
-        p - 4.0
-    ) * float(gu @ hg @ gu)
+    return _pII(gu, gn, hg, p)
 
 
 def _pII_gradp(field: ScalarField, point, p: float, step: float):
     """(1/p) P^II_u(|grad u|^p) with the nested outer step step^(2/3),
-    plus the base derivatives it was assembled from."""
+    followed by the base (grad, Hessian, |grad u|, A_u, Delta_p u) it
+    was assembled from."""
     point = np.asarray(point, dtype=float)
-    g, h_, _ = _derivs(field, point, step, third=False)
-    gn = _require_gradient(field, point, g)
-    a = g @ h_ @ g / (gn * gn)
-    hout = step ** (2.0 / 3.0)
-
-    def gradp_one(y):
-        gg, _, _ = _derivs(field, np.asarray(y, dtype=float), step, third=False)
-        return float(np.dot(gg, gg)) ** (p / 2.0)
+    base = _operator(field, point, p, step)
 
     def gradp(y):
-        # y may be a (dim,) point or a (dim, N) batch
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return gradp_one(y)
-        return np.array([gradp_one(y[:, k]) for k in range(y.shape[1])])
+        g = _derivs(field, np.transpose(y), step, third=False)[0]
+        return np.sum(g * g, axis=-1) ** (p / 2.0)
 
     gfield = ScalarField(field.dim, gradp, name="|grad|^p")
-    _, hgp, _ = _derivs(gfield, point, hout, third=False)
-    pii = gn ** (p - 2.0) * float(np.trace(hgp)) + (p - 2.0) * gn ** (
-        p - 4.0
-    ) * float(g @ hgp @ g)
-    return pii / p, g, h_, gn, a
+    _, hgp, _ = _derivs(gfield, point, step ** (2.0 / 3.0), third=False)
+    return (_pII(base[0], base[2], hgp, p) / p, *base)
 
 
+@_guarded
 def bochner_residual(field: ScalarField, point, p: float,
                      step: float = DEFAULT_STEP) -> float:
     """Normalized defect of the flat-space p-Bochner identity.
@@ -323,6 +294,7 @@ def bochner_residual(field: ScalarField, point, p: float,
     Raises RuntimeError when the Richardson error estimate of the base
     derivatives is too large for the result to be meaningful.
     """
+    p = _pval(p)
     point = np.asarray(point, dtype=float)
     rep = differentiate(field, point, step, third=False, estimate_error=True)
     deriv_scale = max(1.0, float(np.max(np.abs(rep.grad))),
@@ -331,29 +303,19 @@ def bochner_residual(field: ScalarField, point, p: float,
         raise RuntimeError(
             f"derivative estimate unreliable: est_error = {rep.est_error:.2e}"
         )
-    lhs, g, h_, gn, a = _pII_gradp(field, point, p, step)
-    dpu = gn ** (p - 2.0) * (float(np.trace(h_)) + (p - 2.0) * a)
-    hout = step ** (2.0 / 3.0)
-
-    def dp_eval(y):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return p_laplacian_at(field, y, p, step)
-        return np.array(
-            [p_laplacian_at(field, y[:, k], p, step) for k in range(y.shape[1])]
-        )
-
-    dpf = ScalarField(field.dim, dp_eval, name="p-laplacian")
-    grad_dp, _, _ = _derivs(dpf, point, hout, third=False)
-    h2 = float(np.sum(h_ * h_))
+    lhs, g, h_, gn, a, dpu = _pII_gradp(field, point, p, step)
+    dpf = ScalarField(field.dim, lambda y: _operator(
+        field, np.transpose(y), p, step)[4], name="p-laplacian")
+    grad_dp, _, _ = _derivs(dpf, point, step ** (2.0 / 3.0), third=False)
     rhs = gn ** (2.0 * (p - 2.0)) * (
-        gn ** (2.0 - p) * (float(np.dot(grad_dp, g)) - (p - 2.0) * a * dpu)
-        + h2
+        gn ** (2.0 - p) * (grad_dp @ g - (p - 2.0) * a * dpu)
+        + np.sum(h_ * h_)
         + p * (p - 2.0) * a * a
     )
     return (lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
 
 
+@_guarded
 def hessian_inequality_check(
     field: ScalarField,
     point,
@@ -368,15 +330,11 @@ def hessian_inequality_check(
     rhs = (Dp u)^2/m + m/(m-1) (Dp u/m - (p-1)|g|^(p-2) A_u)^2
     ok  = lhs >= rhs - 1e-10 * max(1, |lhs|, |rhs|)
     """
+    p = _pval(p)
     if m < field.dim or m <= 1.0:
         raise ValueError(f"m must satisfy m >= dim and m > 1, got {m!r}")
-    point = np.asarray(point, dtype=float)
-    g, h_, _ = _derivs(field, point, step, third=False)
-    gn = _require_gradient(field, point, g)
-    a = g @ h_ @ g / (gn * gn)
-    dpu = gn ** (p - 2.0) * (float(np.trace(h_)) + (p - 2.0) * a)
-    h2 = float(np.sum(h_ * h_))
-    lhs = gn ** (2.0 * p - 4.0) * (h2 + p * (p - 2.0) * a * a)
+    _, h_, gn, a, dpu = _operator(field, np.asarray(point, dtype=float), p, step)
+    lhs = gn ** (2.0 * p - 4.0) * (np.sum(h_ * h_) + p * (p - 2.0) * a * a)
     rhs = dpu * dpu / m + m / (m - 1.0) * (
         dpu / m - (p - 1.0) * gn ** (p - 2.0) * a
     ) ** 2
@@ -384,6 +342,7 @@ def hessian_inequality_check(
     return lhs, rhs, ok
 
 
+@_guarded
 def eigen_estimate_check(
     field: ScalarField,
     point,
@@ -405,12 +364,12 @@ def eigen_estimate_check(
           + lam (p-2) |g|^(p-2) A_u u^(p-1)
     ok  = lhs >= rhs - tol * max(1, |lhs|, |rhs|)
     """
+    p = _pval(p)
     if n <= 1.0:
         raise ValueError("n must exceed 1")
     point = np.asarray(point, dtype=float)
     u0 = float(_eval_many(field, point[None, :])[0])
-    lhs, g, h_, gn, a = _pII_gradp(field, point, p, step)
-    dpu = gn ** (p - 2.0) * (float(np.trace(h_)) + (p - 2.0) * a)
+    lhs, _, _, gn, a, dpu = _pII_gradp(field, point, p, step)
     target = -lam * spow(u0, p - 1.0)
     res = abs(dpu - target) / max(1.0, abs(target))
     if res > _EIGEN_PRE_TOL:

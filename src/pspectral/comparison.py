@@ -237,9 +237,9 @@ def build_certificate(
     """Integrate the barrier f and evaluate every certificate column.
 
     f solves f' = min(eta(f), beta(f)) - offset from f(t0) =
-    p/(p-1) T(t0), forward on [t0, b-epsilon] and backward (by variable
-    negation, same integrator) on [a+epsilon, t0].  Defaults: epsilon =
-    1e-3 * delta, offset = 1e-6 * max(1, lam^(2/(p-1))).
+    p/(p-1) T(t0), forward on [t0, b-epsilon] and backward (same
+    integrator over a decreasing time span) on [a+epsilon, t0].
+    Defaults: epsilon = 1e-3 * delta, offset = 1e-6 * max(1, lam^(2/(p-1))).
 
     Divergence of f inside the window is reported as a failed
     certificate (all verdicts False), not an exception.  A solution
@@ -266,13 +266,9 @@ def build_certificate(
     f0 = p / (p - 1.0) * float(_drift(sol, t0)[0])
     big = 1e8
 
-    def rhs_fwd(t, y):
+    def rhs(t, y):
         e, be = eta_beta(y[0], t, sol)
         return (min(e, be) - offset,)
-
-    def rhs_bwd(tau, y):
-        e, be = eta_beta(y[0], -tau, sol)
-        return (-(min(e, be) - offset),)
 
     def blow(t, y):
         return abs(y[0]) - big
@@ -281,15 +277,8 @@ def build_certificate(
 
     ivp_opts = dict(method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
                     events=[blow])
-    sol_f = solve_ivp(rhs_fwd, (t0, hi), (f0,), **ivp_opts)
-
-    def blow_b(tau, y):
-        return abs(y[0]) - big
-
-    blow_b.terminal = True
-    ivp_opts_b = dict(ivp_opts)
-    ivp_opts_b["events"] = [blow_b]
-    sol_b = solve_ivp(rhs_bwd, (-t0, -lo), (f0,), **ivp_opts_b)
+    sol_f = solve_ivp(rhs, (t0, hi), (f0,), **ivp_opts)
+    sol_b = solve_ivp(rhs, (t0, lo), (f0,), **ivp_opts)
 
     blew_up = sol_f.status != 0 or sol_b.status != 0
 
@@ -299,11 +288,11 @@ def build_certificate(
         t = np.atleast_1d(arr)
         out = np.full(t.shape, math.nan)
         fwd = (t >= t0) & (t <= sol_f.t[-1])
-        bwd = (t < t0) & (-t <= sol_b.t[-1])
+        bwd = (t < t0) & (t >= sol_b.t[-1])
         if fwd.any():
             out[fwd] = sol_f.sol(t[fwd])[0]
         if bwd.any():
-            out[bwd] = sol_b.sol(-t[bwd])[0]
+            out[bwd] = sol_b.sol(t[bwd])[0]
         return as_scalar_or_array(out[0] if scalar else out, scalar)
 
     gl = np.linspace(lo, t0, _N_GRID)

@@ -354,10 +354,18 @@ def solve_model(
     diagnostics = {"nfev": int(dense.nfev), "closed_form": False}
 
     t_lo, t_hi = dense.t[0], dense.t[-1]
+    frozen_start = prob.a == 0.0
 
     def phase_fn(t, _d=dense, _s=scale, _lo=t_lo, _hi=t_hi, _la=math.log(alpha)):
         arr = np.asarray(t, dtype=float)
-        phi, log_e = _d.sol(np.clip(arr * _s, _lo, _hi))
+        tau = arr * _s
+        phi, log_e = _d.sol(np.clip(tau, _lo, _hi))
+        if frozen_start:
+            # a = 0: before the solve starts at tau = h0 the phase follows
+            # the frozen first step phi = -pi_p/2 + tau/n, log e = 0
+            early = tau < _lo
+            phi = np.where(early, -hp + np.maximum(tau, 0.0) / n, phi)
+            log_e = np.where(early, 0.0, log_e)
         scalar = arr.ndim == 0
         return (as_scalar_or_array(phi, scalar),
                 as_scalar_or_array(log_e + _la, scalar))

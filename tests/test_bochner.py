@@ -9,6 +9,8 @@ Oracles:
   reduce to exact equalities.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,9 @@ def test_differentiate_directional_third():
 
 def test_differentiate_validation():
     e = _poly_2d_a()
-    with pytest.raises(ValueError):
-        differentiate(e.field, e.point, step=0.0)
+    for step in (0.0, -1e-2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step"):
+            differentiate(e.field, e.point, step=step)
     with pytest.raises(ValueError):
         differentiate(e.field, np.zeros(3))
     bad = ScalarField(2, lambda x: np.where(x[0] > 0.0, np.inf, 1.0))
@@ -321,6 +324,60 @@ def test_degenerate_gradient_rejected():
         bochner_residual(q, origin, 2.5)
     with pytest.raises(ValueError, match="degenerate"):
         hessian_inequality_check(q, origin, 2.5, 3.0)
+
+
+def test_degenerate_gradient_on_outer_stencil_node_rejected():
+    # the critical point of 0.5|x - c|^2 sits on the nested stencil node
+    # point + (step^(2/3), 0), where Delta_p u is undefined
+    pt, step = np.array([0.3, -0.2]), 5e-3
+    c = pt + np.array([step ** (2.0 / 3.0), 0.0])
+    f = ScalarField(2, lambda x: 0.5 * ((x[0] - c[0]) ** 2
+                                        + (x[1] - c[1]) ** 2))
+    for p in (1.5, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="degenerate"):
+                bochner_residual(f, pt, p, step=step)
+
+
+def test_batched_derivs_match_per_point_calls():
+    # one (N, dim) call gives each row bit for bit the derivatives of a
+    # call at that row alone, and asking for the third derivatives
+    # leaves the gradient and Hessian unchanged
+    rng = np.random.default_rng(11)
+    for e in catalog().values():
+        pts = e.point + 0.2 * rng.standard_normal((9, e.field.dim))
+        batch = B._derivs(e.field, pts, 1e-2, third=True)
+        assert [b.shape for b in batch] == [
+            (9,) + (e.field.dim,) * k for k in (1, 2, 3)]
+        for row, pt in enumerate(pts):
+            single = B._derivs(e.field, pt, 1e-2, third=True)
+            for b, s in zip(batch, single):
+                np.testing.assert_array_equal(b[row], s)
+            lower = B._derivs(e.field, pt, 1e-2, third=False)
+            np.testing.assert_array_equal(lower[0], single[0])
+            np.testing.assert_array_equal(lower[1], single[1])
+
+
+def test_entry_points_reject_bad_p_and_step():
+    e = _poly_2d_a()
+    for p in (1.0, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="exponent"):
+            bochner_residual(e.field, e.point, p)
+        with pytest.raises(ValueError, match="exponent"):
+            p_laplacian_at(e.field, e.point, p)
+    with pytest.raises(ValueError, match="step"):
+        hessian_inequality_check(e.field, e.point, 2.0, 3.0, step=-1e-2)
+
+
+def test_overflow_is_a_value_error_without_warnings():
+    e = _poly_2d_a()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, step, pt in ((1e300, 5e-3, e.point), (2.5, 1e-300, e.point),
+                            (2.5, 1e300, e.point), (2.5, 5e-3, [1e200, 1.0])):
+            with pytest.raises(ValueError):
+                bochner_residual(e.field, pt, p, step=step)
 
 
 def test_catalog_structure():

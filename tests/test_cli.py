@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import pspectral
 from pspectral import verify
+from pspectral.bochner import catalog
 from pspectral.cli import build_parser, main
 
 
@@ -204,6 +205,15 @@ def test_bochner_unknown_field(capsys):
     assert "unknown field" in err
 
 
+def test_bochner_rejects_p_at_most_one(capsys):
+    # the operator needs p > 1; p = 1 once returned a residual
+    code, out, err = run_cli(capsys, "bochner", "--field", "quad_2d",
+                             "--p", "1.0")
+    assert code == 2
+    assert out == ""
+    assert "p > 1" in err
+
+
 # --------------------------------------------------------- eigensolve
 
 def test_eigensolve_variational_json(capsys, tmp_path):
@@ -318,6 +328,29 @@ def test_finite_inputs_end_in_an_exit_code(p, d, fn, lo, hi, num, fmt):
             warnings.simplefilter("error")
             code = main(argv)
         assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+near = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["poly_2d_a", "quad_2d", "poly_3d_b"]),
+       p=st.one_of(st.floats(1.0, 8.0), finite),
+       step=st.one_of(st.floats(1e-4, 0.1), finite),
+       coords=st.lists(st.one_of(near, finite), min_size=3, max_size=3))
+def test_bochner_finite_inputs_end_in_an_exit_code(name, p, step, coords):
+    # p = 1e300 (|grad u|^p overflows), tiny or huge steps and far
+    # points once escaped as tracebacks or RuntimeWarnings
+    point = ",".join(repr(c) for c in coords[:catalog()[name].field.dim])
+    common = ["bochner", "--field", name, "--p", repr(p), "--step", repr(step)]
+    for argv in (common, common + ["--point", point]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert code == 0 or err.getvalue().count("\n") == 1, err.getvalue()
 
 
 # ------------------------------------------------------ docs and names

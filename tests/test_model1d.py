@@ -227,19 +227,9 @@ def test_state_matches_w_and_wdot(a):
         assert np.ndim(w) == np.ndim(t) and np.ndim(wdot) == np.ndim(t)
 
 
-# a = 0 starts the solve at t = h0/alpha = 1e-7; phase_fn clamps the
-# gap [0, 1e-7) to the first mesh time, so w is flat there while wdot,
-# at p = 6, already reads 4.4e-2 and puts those points inside the mask
-_FLAT_START = pytest.mark.xfail(
-    strict=True, reason="w is clamped flat on [0, h0/alpha) while "
-    "|wdot| > 1e-2 there at p = 6, so the inverse misses by 1e-7")
-
-
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
 @pytest.mark.parametrize("a", [0.0, 0.1, 0.7, 3.0])
-def test_w_inverse_bracketed_newton(p, a, request):
-    if (p, a) == (6.0, 0.0):
-        request.applymarker(_FLAT_START)
+def test_w_inverse_bracketed_newton(p, a):
     sol = solve_model(ModelProblem(PParams(p, 3, p - 1.0), a))
     lo, hi = sol.a_eff, sol.b
     # offsets down to 1e-12 from both ends, where wdot vanishes
