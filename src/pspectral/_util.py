@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,22 @@ def spow(x, e):
     if arr.ndim == 0:
         return float(out)
     return out
+
+
+def guarded(fn):
+    """Run an entry point with numpy overflow, division by zero and
+    invalid operations (and Python float overflow) raised as ValueError."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise ValueError(f"{fn.__name__}: floating-point failure "
+                             f"({exc})") from None
+
+    return run
 
 
 def as_scalar_or_array(values, scalar: bool):

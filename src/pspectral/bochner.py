@@ -23,11 +23,13 @@ mixed entry takes the product of 1-d weights).  Derivatives at one
 point (dim,) or at each row of a batch (N, dim) cost one field
 evaluation over all their nodes, so the nested fields |grad u|^p and
 Delta_p u evaluate their whole outer stencil with one batched inner
-call.  Fields are evaluated in one call when the evaluator accepts a
-(dim, N) array (all catalog fields do), with a transparent per-point
-fallback otherwise.  The entry points reject p <= 1 and steps that are
-not finite and positive, and report floating-point overflow as
-ValueError.
+call; the degenerate-gradient test reads |u| at the zero-offset node,
+and bochner_residual derives its base derivatives once for the error
+estimate and the operator.  Fields are evaluated in one call when the
+evaluator accepts a (dim, N) array (all catalog fields do), with a
+transparent per-point fallback otherwise.  The entry points reject
+p <= 1 and steps that are not finite and positive, and report
+floating-point overflow as ValueError.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import spow
+from ._util import guarded, spow
 from .ptrig import _pval
 
 __all__ = [
@@ -114,22 +116,6 @@ class DiffReport:
     est_error: float
 
 
-def _guarded(fn):
-    """Run an entry point with numpy overflow, division by zero and
-    invalid operations (and Python float overflow) raised as ValueError."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except (FloatingPointError, OverflowError) as exc:
-            raise ValueError(f"{fn.__name__}: floating-point failure "
-                             f"({exc})") from None
-
-    return run
-
-
 def _eval_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
     """Evaluate at all rows of pts (N, dim), batched when possible."""
     ev = field.evaluator
@@ -146,11 +132,12 @@ def _eval_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _stencil(dim: int, third: bool):
-    """Node offsets (K, dim) and the weights of the gradient (dim, K1),
-    the Hessian (dim, dim, K2) and, when third, the third-derivative
-    tensor (dim, dim, dim, K) (else None), all in units of the step.
-    Each order's weights span the first K1 <= K2 <= K nodes it uses, so
-    the gradient and Hessian do not depend on third."""
+    """Node offsets (K, dim), the index of the zero offset, and the
+    weights of the gradient (dim, K1), the Hessian (dim, dim, K2) and,
+    when third, the third-derivative tensor (dim, dim, dim, K) (else
+    None), all in units of the step.  Each order's weights span the
+    first K1 <= K2 <= K nodes it uses, so the gradient and Hessian do
+    not depend on third."""
     nodes, weights = {}, [None, None, None]
     for order in (1, 2, 3) if third else (1, 2):
         entries = []
@@ -167,29 +154,50 @@ def _stencil(dim: int, third: bool):
         weights[order - 1] = np.zeros((dim,) * order + (len(nodes),))
         for key, w in entries:
             weights[order - 1][key] = w
-    return (np.array(list(nodes), dtype=float), *weights)
+    centre = nodes[(0,) * dim]
+    return (np.array(list(nodes), dtype=float), centre, *weights)
 
 
-def _derivs(field: ScalarField, points, h: float, third: bool):
+def _derivs(field: ScalarField, points, h: float, third: bool,
+            value: bool = False):
     """Gradient, Hessian and third-derivative tensor (None unless third)
-    at one point (dim,) or at each row of a batch (N, dim); one
-    _eval_many call covers every stencil node of every point."""
+    at one point (dim,) or at each row of a batch (N, dim), followed
+    when value by the field value there (the stencil's zero-offset
+    node); one _eval_many call covers every stencil node of every
+    point."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step must be finite and positive, got {h!r}")
-    offsets, *weights = _stencil(field.dim, third)
+    offsets, centre, *weights = _stencil(field.dim, third)
     nodes = np.asarray(points, dtype=float)[..., None, :] + h * offsets
     lead = nodes.shape[:-2]
     vals = _eval_many(field, nodes.reshape(-1, field.dim))
     vals = vals.reshape(lead + (1, len(offsets)))
     # one pairwise sum per entry and point: a batch row matches its
     # single-point result bit for bit
-    return tuple(
+    out = tuple(
         None if w is None else np.sum(vals[..., :w.shape[-1]] * w.reshape(
             -1, w.shape[-1]), axis=-1).reshape(lead + w.shape[:-1]) / h**k
         for k, w in enumerate(weights, 1))
+    return out + (vals[..., 0, centre],) if value else out
 
 
-@_guarded
+def _point(field: ScalarField, point) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (field.dim,):
+        raise ValueError(f"point must have shape ({field.dim},)")
+    return point
+
+
+def _halving_error(field: ScalarField, point, step: float, third: bool,
+                   derivs) -> float:
+    """Largest component change of derivs, the derivatives at step,
+    when the step is halved (Richardson comparison)."""
+    halved = _derivs(field, point, step / 2.0, third)
+    return max(float(np.max(np.abs(x - y)))
+               for x, y in zip(derivs, halved) if x is not None)
+
+
+@guarded
 def differentiate(
     field: ScalarField,
     point,
@@ -202,37 +210,37 @@ def differentiate(
     est_error compares against a halved-step evaluation; pass
     estimate_error=False to skip that second pass (est_error = nan).
     """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (field.dim,):
-        raise ValueError(f"point must have shape ({field.dim},)")
+    point = _point(field, point)
     g, h_, t = _derivs(field, point, step, third)
     est = float("nan")
     if estimate_error:
-        halved = _derivs(field, point, step / 2.0, third)
-        est = max(float(np.max(np.abs(x - y)))
-                  for x, y in zip((g, h_, t), halved) if x is not None)
+        est = _halving_error(field, point, step, third, (g, h_, t))
     return DiffReport(point=point, grad=g, hess=h_, third=t, step=step,
                       est_error=est)
 
 
-def _require_gradient(field, points, grad):
+def _require_gradient(points, grad, u):
     """|grad| at one point or each row of a batch; ValueError where it
-    is below 1e-8 max(1, |u|)."""
+    is below 1e-8 max(1, |u|), u the field value there."""
     gn = np.linalg.norm(grad, axis=-1)
-    pts = np.reshape(points, (-1, field.dim))
-    scale = np.maximum(1.0, np.abs(_eval_many(field, pts))).reshape(gn.shape)
-    bad = np.flatnonzero(gn < 1e-8 * scale)
+    pts = np.reshape(points, (-1, grad.shape[-1]))
+    bad = np.flatnonzero(gn < 1e-8 * np.maximum(1.0, np.abs(u)))
     if bad.size:
         raise ValueError(f"degenerate gradient |grad| = "
                          f"{gn.flat[bad[0]]:.2e} at {pts[bad[0]]}")
     return gn
 
 
-def _operator(field: ScalarField, points, p: float, step: float):
+def _operator(field: ScalarField, points, p: float, step: float,
+              derivs=None):
     """(grad, Hessian, |grad u|, A_u, Delta_p u) at one point or each
-    row of a batch; rejects degenerate-gradient points."""
-    g, h_, _ = _derivs(field, points, step, third=False)
-    gn = _require_gradient(field, points, g)
+    row of a batch; rejects degenerate-gradient points.  derivs, when
+    given, is what _derivs(field, points, step, False, value=True)
+    returns, so the stencil is not evaluated again."""
+    if derivs is None:
+        derivs = _derivs(field, points, step, third=False, value=True)
+    g, h_, _, u = derivs
+    gn = _require_gradient(points, g, u)
     a = np.einsum("...i,...ij,...j->...", g, h_, g) / (gn * gn)
     dpu = gn ** (p - 2.0) * (np.trace(h_, axis1=-2, axis2=-1) + (p - 2.0) * a)
     return g, h_, gn, a, dpu
@@ -244,14 +252,14 @@ def _pII(g, gn, hess, p: float):
             + (p - 2.0) * gn ** (p - 4.0) * (g @ hess @ g))
 
 
-@_guarded
+@guarded
 def p_laplacian_at(field: ScalarField, point, p: float, step: float = DEFAULT_STEP) -> float:
     """|grad u|^(p-2) (tr H + (p-2) A_u) at the point; rejects
     degenerate-gradient points."""
     return _operator(field, np.asarray(point, dtype=float), _pval(p), step)[4]
 
 
-@_guarded
+@guarded
 def pII_at(field_u: ScalarField, field_g: ScalarField, point, p: float,
            step: float = DEFAULT_STEP) -> float:
     """Contract [|g|^(p-2) I + (p-2)|g|^(p-4) g g^T] with Hess(field_g)."""
@@ -264,12 +272,13 @@ def pII_at(field_u: ScalarField, field_g: ScalarField, point, p: float,
     return _pII(gu, gn, hg, p)
 
 
-def _pII_gradp(field: ScalarField, point, p: float, step: float):
+def _pII_gradp(field: ScalarField, point, p: float, step: float,
+               derivs=None):
     """(1/p) P^II_u(|grad u|^p) with the nested outer step step^(2/3),
     followed by the base (grad, Hessian, |grad u|, A_u, Delta_p u) it
-    was assembled from."""
+    was assembled from (from derivs when given, as in _operator)."""
     point = np.asarray(point, dtype=float)
-    base = _operator(field, point, p, step)
+    base = _operator(field, point, p, step, derivs)
 
     def gradp(y):
         g = _derivs(field, np.transpose(y), step, third=False)[0]
@@ -280,7 +289,7 @@ def _pII_gradp(field: ScalarField, point, p: float, step: float):
     return (_pII(base[0], base[2], hgp, p) / p, *base)
 
 
-@_guarded
+@guarded
 def bochner_residual(field: ScalarField, point, p: float,
                      step: float = DEFAULT_STEP) -> float:
     """Normalized defect of the flat-space p-Bochner identity.
@@ -295,15 +304,16 @@ def bochner_residual(field: ScalarField, point, p: float,
     derivatives is too large for the result to be meaningful.
     """
     p = _pval(p)
-    point = np.asarray(point, dtype=float)
-    rep = differentiate(field, point, step, third=False, estimate_error=True)
-    deriv_scale = max(1.0, float(np.max(np.abs(rep.grad))),
-                      float(np.max(np.abs(rep.hess))))
-    if rep.est_error > 1e-2 * deriv_scale:
+    point = _point(field, point)
+    base = _derivs(field, point, step, third=False, value=True)
+    est = _halving_error(field, point, step, False, base[:3])
+    deriv_scale = max(1.0, float(np.max(np.abs(base[0]))),
+                      float(np.max(np.abs(base[1]))))
+    if est > 1e-2 * deriv_scale:
         raise RuntimeError(
-            f"derivative estimate unreliable: est_error = {rep.est_error:.2e}"
+            f"derivative estimate unreliable: est_error = {est:.2e}"
         )
-    lhs, g, h_, gn, a, dpu = _pII_gradp(field, point, p, step)
+    lhs, g, h_, gn, a, dpu = _pII_gradp(field, point, p, step, base)
     dpf = ScalarField(field.dim, lambda y: _operator(
         field, np.transpose(y), p, step)[4], name="p-laplacian")
     grad_dp, _, _ = _derivs(dpf, point, step ** (2.0 / 3.0), third=False)
@@ -315,7 +325,7 @@ def bochner_residual(field: ScalarField, point, p: float,
     return (lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
 
 
-@_guarded
+@guarded
 def hessian_inequality_check(
     field: ScalarField,
     point,
@@ -342,7 +352,7 @@ def hessian_inequality_check(
     return lhs, rhs, ok
 
 
-@_guarded
+@guarded
 def eigen_estimate_check(
     field: ScalarField,
     point,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._util import spow
+from ._util import guarded, spow
 from .model1d import ModelProblem, ModelSolution, PParams, solve_model
 from .ptrig import pi_p, sin_p
 
@@ -56,7 +56,10 @@ class Domain1D:
 
     weights: per-node quadrature weights of the domain measure (zero at
     t = 0 on radial domains with n > 1).  cell_weights: per-cell weights
-    used by the energy numerator, evaluated at cell midpoints.
+    used by the energy numerator, evaluated at cell midpoints.  diff and
+    diff_adjoint subtract array slices into one new array (on the circle
+    the wrap entry is set on its own) and divide it by the spacing in
+    place: the descent calls them once per trial and per iteration.
     """
 
     kind: str
@@ -74,19 +77,27 @@ class Domain1D:
 
     def diff(self, values: np.ndarray) -> np.ndarray:
         """Forward difference per cell (periodic wrap on circles)."""
+        n = len(values) - 1
+        out = np.empty(n + 1 if self.periodic else n)
+        np.subtract(values[1:], values[:-1], out=out[:n])
         if self.periodic:
-            return np.diff(values, append=values[:1]) / self.spacing
-        return np.diff(values) / self.spacing
+            out[n] = values[0] - values[n]
+        out /= self.spacing
+        return out
 
     def diff_adjoint(self, q: np.ndarray) -> np.ndarray:
         """Adjoint of diff against the plain (unweighted) node sum."""
         if self.periodic:
-            # (q[i-1] - q[i]), with the sign of zero that np.roll gives
-            mq = -q
-            return np.diff(mq, prepend=mq[-1:]) / self.spacing
+            # q[i-1] - q[i], as np.roll(q, 1) - q gives it
+            out = np.empty(len(q))
+            np.subtract(q[:-1], q[1:], out=out[1:])
+            out[0] = q[-1] - q[0]
+            out /= self.spacing
+            return out
+        qh = q / self.spacing
         out = np.zeros(self.N)
-        out[:-1] -= q / self.spacing
-        out[1:] += q / self.spacing
+        out[:-1] -= qh
+        out[1:] += qh
         return out
 
 
@@ -147,10 +158,13 @@ _COARSEST = 33
 _STEP0 = 1.0
 
 
+@guarded
 def build_domain(kind: str, N: int, *, L: float | None = None,
                  x0: float = 0.0, x1: float = 1.0,
                  R: float | None = None, n: float | None = None) -> Domain1D:
-    """Build a uniform mesh: circle(L), segment(x0, x1), radial(R, n)."""
+    """Build a uniform mesh: circle(L), segment(x0, x1), radial(R, n).
+
+    Weights that overflow raise ValueError."""
     N = int(N)
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -202,26 +216,29 @@ def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     x at p < 2 (g' is infinite there), an overflow next to one, or every
     term underflowing at large p.  It stops when a step or the bracket is
     below 1e-15 * max(1, |lo| + |hi|); in the descent that takes two to
-    three passes per call.
+    three passes per call.  The whole search runs under one np.errstate
+    that ignores overflow, division by zero and invalid operations: a g'
+    that is not finite sends its pass to bisection, and a g that
+    overflows keeps its sign.
     """
-    lo = float(values.min())
-    hi = float(values.max())
+    lo = float(np.minimum.reduce(values))
+    hi = float(np.maximum.reduce(values))
     if hi - lo < 1e-300:
         return lo
     c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     dx_old = hi - lo
-    for _ in range(200):
-        x = values - c
-        ax = np.abs(x)
-        a = ax ** (p - 1.0)
-        gc = float(np.dot(weights, np.copysign(a, x)))
-        if gc > 0.0:
-            lo = c
-        elif gc < 0.0:
-            hi = c
-        else:
-            return c
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            x = values - c
+            ax = np.abs(x)
+            a = ax ** (p - 1.0)
+            gc = float(np.dot(weights, np.copysign(a, x)))
+            if gc > 0.0:
+                lo = c
+            elif gc < 0.0:
+                hi = c
+            else:
+                return c
             dg = (p - 1.0) * float(np.dot(weights, a / ax))
             if math.isnan(dg) and p >= 2.0:
                 # 0/0 at an exact zero of x, where |x|^(p-2) is 1 at
@@ -229,20 +246,21 @@ def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
                 r = np.divide(a, ax, out=np.full_like(a, float(p == 2.0)),
                               where=ax > 0.0)
                 dg = (p - 1.0) * float(np.dot(weights, r))
-        step = gc / dg if 0.0 < dg < math.inf else math.nan
-        new = c + step
-        if not (lo <= new <= hi and abs(2.0 * step) <= abs(dx_old)):
-            new = 0.5 * (lo + hi)
-        dx_old = new - c
-        c = new
-        tol = 1e-15 * max(1.0, abs(hi) + abs(lo))
-        if hi - lo <= tol:
-            break
-        # a short step ends the search only if no kink of g lies within
-        # two steps of c: at p < 2 a tiny |x| inflates g' and makes any
-        # Newton step tiny, however far the root is
-        if abs(dx_old) <= tol and float(ax.min()) > 2.0 * abs(dx_old):
-            break
+            step = gc / dg if 0.0 < dg < math.inf else math.nan
+            new = c + step
+            if not (lo <= new <= hi and abs(2.0 * step) <= abs(dx_old)):
+                new = 0.5 * (lo + hi)
+            dx_old = new - c
+            c = new
+            tol = 1e-15 * max(1.0, abs(hi) + abs(lo))
+            if hi - lo <= tol:
+                break
+            # a short step ends the search only if no kink of g lies
+            # within two steps of c: at p < 2 a tiny |x| inflates g' and
+            # makes any Newton step tiny, however far the root is
+            if (abs(dx_old) <= tol
+                    and float(np.minimum.reduce(ax)) > 2.0 * abs(dx_old)):
+                break
     return c
 
 
@@ -251,7 +269,7 @@ def _project(dom: Domain1D, values: np.ndarray, p: float):
     c = _pmean_shift(values, dom.weights, p)
     v = values - c
     nrm = float(np.dot(dom.weights, np.abs(v) ** p)) ** (1.0 / p)
-    if nrm == 0.0 or not np.isfinite(nrm):
+    if nrm == 0.0 or not math.isfinite(nrm):
         raise ValueError("function is identically zero after the p-mean shift")
     return v / nrm, c
 
@@ -266,15 +284,33 @@ def rayleigh_quotient(u: DiscreteFunction, p: float) -> float:
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     e = math.frexp(float(np.max(np.abs(u.values))))[1]
-    v = np.ldexp(u.values, 1 - e)
-    return _rq_raw(u.domain, _project(u.domain, v, p)[0], p)
+    v = _project(u.domain, np.ldexp(u.values, 1 - e), p)[0]
+    return _rq_raw(u.domain, v, u.domain.diff(v), p)
 
 
-def _rq_raw(dom: Domain1D, v: np.ndarray, p: float) -> float:
-    dv = dom.diff(v)
+def _rq_raw(dom: Domain1D, v: np.ndarray, dv: np.ndarray, p: float) -> float:
+    """The Rayleigh quotient of v, given its difference dv = dom.diff(v)."""
     num = float(np.dot(dom.cell_weights, np.abs(dv) ** p))
     den = float(np.dot(dom.weights, np.abs(v) ** p))
     return num / den
+
+
+def _grad_norm(grad: np.ndarray):
+    """(g, |g|), |g| the Euclidean norm as np.linalg.norm takes it.  g is
+    grad itself, or, when the squared norm overflows, grad divided by
+    the power of two that puts max|g| in [1, 2): g / |g| is the same
+    direction either way."""
+    try:
+        gg = float(np.dot(grad, grad))
+    except FloatingPointError:  # an overflow raised under guarded()
+        gg = math.inf
+    if gg < math.inf:
+        gn = math.sqrt(gg)
+    else:
+        e = math.frexp(float(np.maximum.reduce(np.abs(grad))))[1]
+        grad = np.ldexp(grad, 1 - e)
+        gn = math.sqrt(float(np.dot(grad, grad)))
+    return grad, gn
 
 
 def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
@@ -282,12 +318,14 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
 
     Returns (values, rq, iterations, stopped_by) with stopped_by one of
     "stall", "step_collapse", "gradient_zero", "cap".  Each line-search
-    trial costs one projection and one Rayleigh quotient, a few O(N)
-    array passes: the p-mean shift of a trial starts next to its root
-    and takes about two Newton passes.
+    trial costs one projection, one difference and one Rayleigh
+    quotient, a few O(N) array passes: the p-mean shift of a trial
+    starts next to its root and takes about two Newton passes.  The
+    accepted trial's difference serves the next iteration's gradient.
     """
     v, _ = _project(dom, v, p)
-    lam = _rq_raw(dom, v, p)
+    dv = dom.diff(v)
+    lam = _rq_raw(dom, v, dv, p)
     precond = np.maximum(dom.weights, 1e-3 * dom.weights.mean())
     step = _STEP0
     stall = 0
@@ -295,12 +333,11 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
     stopped = "cap"
     while it < cap:
         it += 1
-        dv = dom.diff(v)
         # subgradient of the energy: zero element at cell kinks (Du = 0)
         q = dom.cell_weights * spow(dv, p - 1.0) * p
         grad = dom.diff_adjoint(q) - lam * p * dom.weights * spow(v, p - 1.0)
-        grad = grad / precond
-        gn = float(np.linalg.norm(grad))
+        grad /= precond
+        grad, gn = _grad_norm(grad)
         if gn < 1e-18:
             stopped = "gradient_zero"
             break
@@ -308,7 +345,8 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
         improved = False
         while step > 1e-15:
             v2, _ = _project(dom, v - step * grad, p)
-            lam2 = _rq_raw(dom, v2, p)
+            dv2 = dom.diff(v2)
+            lam2 = _rq_raw(dom, v2, dv2, p)
             if lam2 < lam:
                 improved = True
                 break
@@ -317,7 +355,7 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
             stopped = "step_collapse"
             break
         rel = (lam - lam2) / max(abs(lam), 1e-300)
-        v, lam = v2, lam2
+        v, dv, lam = v2, dv2, lam2
         step *= 1.3
         stall = stall + 1 if rel < _TOL else 0
         if stall >= _STALL_WINDOW:
@@ -382,12 +420,15 @@ def _finalize(dom: Domain1D, v: np.ndarray, p: float, lam: float,
     )
 
 
+@guarded
 def solve_eigen_variational(domain: Domain1D, p: float,
                             opts: SolverOptions | None = None) -> EigenResult:
     """Minimize the Rayleigh quotient over the zero-p-mean set.
 
     converged is False when any level of the hierarchy stopped at its
     iteration cap; diagnostics["levels"] records each level's stop.
+    Floating-point overflow (say, differences on a 1e-300 mesh) raises
+    ValueError.
     """
     if not (p > 1.0 and np.isfinite(p)):
         raise ValueError("p must be finite and exceed 1")

@@ -4,10 +4,15 @@ These re-derive key quantities through routes that share no code with
 the package internals: direct integration of the divergence-form ODE
 for the 1D comparison problem, classical special-function values for
 the p = 2 reductions, and extended-precision (mpmath) values of the
-p-trigonometric functions and of the p-mean shift.
+p-trigonometric functions and of the p-mean shift.  The one exception is
+descend_reference, a frozen copy of the variational solver's per-level
+descent in its original arithmetic, against which the library's lean
+inner loop is checked bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -196,3 +201,122 @@ def pmean_shift_mp(values, weights, p, dps=40):
             else:
                 hi = c
         return (lo + hi) / 2
+
+
+# The descent of one mesh level exactly as it was written before its
+# inner loop was made lean: np.diff differences, np.linalg.norm, one
+# np.errstate entry per Newton pass, a fresh difference of every iterate.
+# The library's _descend must visit the same iterates bit for bit.
+
+def _diff_ref(dom, values):
+    if dom.kind == "circle":
+        return np.diff(values, append=values[:1]) / dom.spacing
+    return np.diff(values) / dom.spacing
+
+
+def _diff_adjoint_ref(dom, q):
+    if dom.kind == "circle":
+        mq = -q
+        return np.diff(mq, prepend=mq[-1:]) / dom.spacing
+    out = np.zeros(dom.N)
+    out[:-1] -= q / dom.spacing
+    out[1:] += q / dom.spacing
+    return out
+
+
+def _pmean_shift_ref(values, weights, p):
+    lo = float(values.min())
+    hi = float(values.max())
+    if hi - lo < 1e-300:
+        return lo
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    dx_old = hi - lo
+    for _ in range(200):
+        x = values - c
+        ax = np.abs(x)
+        a = ax ** (p - 1.0)
+        gc = float(np.dot(weights, np.copysign(a, x)))
+        if gc > 0.0:
+            lo = c
+        elif gc < 0.0:
+            hi = c
+        else:
+            return c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dg = (p - 1.0) * float(np.dot(weights, a / ax))
+            if math.isnan(dg) and p >= 2.0:
+                r = np.divide(a, ax, out=np.full_like(a, float(p == 2.0)),
+                              where=ax > 0.0)
+                dg = (p - 1.0) * float(np.dot(weights, r))
+        step = gc / dg if 0.0 < dg < math.inf else math.nan
+        new = c + step
+        if not (lo <= new <= hi and abs(2.0 * step) <= abs(dx_old)):
+            new = 0.5 * (lo + hi)
+        dx_old = new - c
+        c = new
+        tol = 1e-15 * max(1.0, abs(hi) + abs(lo))
+        if hi - lo <= tol:
+            break
+        if abs(dx_old) <= tol and float(ax.min()) > 2.0 * abs(dx_old):
+            break
+    return c
+
+
+def _project_ref(dom, values, p):
+    c = _pmean_shift_ref(values, dom.weights, p)
+    v = values - c
+    nrm = float(np.dot(dom.weights, np.abs(v) ** p)) ** (1.0 / p)
+    if nrm == 0.0 or not np.isfinite(nrm):
+        raise ValueError("function is identically zero after the p-mean shift")
+    return v / nrm, c
+
+
+def _rq_raw_ref(dom, v, p):
+    dv = _diff_ref(dom, v)
+    num = float(np.dot(dom.cell_weights, np.abs(dv) ** p))
+    den = float(np.dot(dom.weights, np.abs(v) ** p))
+    return num / den
+
+
+def descend_reference(dom, v, p, cap, tol=1e-10, stall_window=50,
+                      step0=1.0):
+    """(values, rq, iterations, stopped_by) of one level's projected
+    preconditioned subgradient descent, in the reference arithmetic."""
+    v, _ = _project_ref(dom, v, p)
+    lam = _rq_raw_ref(dom, v, p)
+    precond = np.maximum(dom.weights, 1e-3 * dom.weights.mean())
+    step = step0
+    stall = 0
+    it = 0
+    stopped = "cap"
+    while it < cap:
+        it += 1
+        dv = _diff_ref(dom, v)
+        q = dom.cell_weights * spow(dv, p - 1.0) * p
+        grad = _diff_adjoint_ref(dom, q) - lam * p * dom.weights * spow(
+            v, p - 1.0)
+        grad = grad / precond
+        gn = float(np.linalg.norm(grad))
+        if gn < 1e-18:
+            stopped = "gradient_zero"
+            break
+        grad /= gn
+        improved = False
+        while step > 1e-15:
+            v2, _ = _project_ref(dom, v - step * grad, p)
+            lam2 = _rq_raw_ref(dom, v2, p)
+            if lam2 < lam:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            stopped = "step_collapse"
+            break
+        rel = (lam - lam2) / max(abs(lam), 1e-300)
+        v, lam = v2, lam2
+        step *= 1.3
+        stall = stall + 1 if rel < tol else 0
+        if stall >= stall_window:
+            stopped = "stall"
+            break
+    return v, lam, it, stopped

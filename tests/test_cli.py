@@ -250,6 +250,27 @@ def test_eigensolve_missing_domain_flags(capsys):
     assert "--R" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--kind", "segment", "--p", "200"],
+    ["--kind", "circle", "--p", "2", "--L", "1e-300"],
+    ["--kind", "segment", "--p", "3", "--x1", "1e-300"],
+])
+def test_eigensolve_overflow_is_clean(extra):
+    # p = 200: |grad|^2 overflowed, the normalized gradient was 0 and the
+    # level stopped on step collapse after one iteration with lambda
+    # 8.77e223; on a 1e-300 domain the differences overflowed and the
+    # run ended on "identically zero"; both printed RuntimeWarnings
+    code, out, err = run_module("eigensolve", "--N", "16", *extra)
+    assert "Warning" not in err, err
+    if code == 0:
+        assert err == ""
+        doc = json.loads(out)
+        assert math.isfinite(doc["lambda"]) and doc["iterations"] > 16
+    else:
+        assert code == 2 and err.count("\n") == 1, err
+        assert "floating-point failure" in err, err
+
+
 # ------------------------------------------------------------- bounds
 
 def test_bounds_table_at_p2(capsys):
@@ -351,6 +372,28 @@ def test_bochner_finite_inputs_end_in_an_exit_code(name, p, step, coords):
             code = main(argv)
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert code == 0 or err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["segment", "circle", "radial"]),
+       N=st.integers(16, 32),
+       p=st.one_of(st.floats(1.0, 8.0), finite),
+       L=st.one_of(st.floats(0.1, 10.0), finite),
+       x1=st.one_of(st.floats(0.1, 10.0), finite),
+       R=st.one_of(st.floats(0.1, 10.0), finite),
+       n=st.one_of(st.floats(1.0, 8.0), finite))
+def test_eigensolve_finite_inputs_end_in_an_exit_code(kind, N, p, L, x1, R, n):
+    # p = 200 (|grad|^2 overflows), 1e-300 domains (the differences
+    # overflow) and huge radial weights once escaped as RuntimeWarnings
+    argv = ["eigensolve", "--kind", kind, "--N", str(N), "--p", repr(p),
+            "--L", repr(L), "--x1", repr(x1), "--R", repr(R), "--n", repr(n)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert code == 0 or err.getvalue().count("\n") == 1, err.getvalue()
 
 
 # ------------------------------------------------------ docs and names

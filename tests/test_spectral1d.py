@@ -6,7 +6,9 @@ Oracles:
   (p-1) (b1/R)^p, which makes the shooting backend self-checking;
 * cross-backend agreement (variational vs shooting) on radial domains;
 * closed-form bound values evaluated by hand at p = 2, d = pi;
-* an mpmath bisection for the p-mean shift (tests/oracles.py).
+* an mpmath bisection for the p-mean shift (tests/oracles.py);
+* a frozen copy of the per-level descent in its original arithmetic
+  (tests/oracles.py), which the lean descent must match bit for bit.
 """
 
 import warnings
@@ -36,7 +38,7 @@ from pspectral import (
 from pspectral import spectral1d
 from pspectral._util import spow
 
-from oracles import pmean_shift_mp
+from oracles import descend_reference, pmean_shift_mp
 
 EPS = np.finfo(float).eps
 
@@ -287,6 +289,21 @@ def test_circle_diff_bit_identical_to_roll():
         assert dom.diff(v).tobytes() == ((np.roll(v, -1) - v) / h).tobytes()
         assert dom.diff_adjoint(v).tobytes() == \
             ((np.roll(v, 1) - v) / h).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["segment", "circle", "radial"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_descend_matches_reference_bit_for_bit(kind, p):
+    # at N = 40 and a 600 cap, p = 2 (and the segment at p = 3) stall and
+    # the others stop at the cap
+    dom = build_domain(kind, 40, L=2.0, R=1.0, n=3.0)
+    v0 = spectral1d._initial_guess(dom, p, np.random.default_rng(7))
+    v, lam, it, stopped = spectral1d._descend(dom, v0, p, 600)
+    rv, rlam, rit, rstopped = descend_reference(dom, v0, p, 600)
+    assert v.tobytes() == rv.tobytes()
+    assert (lam.hex(), it, stopped) == (rlam.hex(), rit, rstopped)
+    assert stopped == ("stall" if p == 2.0 or (kind, p) == ("segment", 3.0)
+                       else "cap")
 
 
 def test_variational_segment_p2():
