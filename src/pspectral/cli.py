@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import re
 import sys
@@ -30,7 +29,6 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from ._util import json_safe
 from .bochner import bochner_residual, catalog, p_laplacian_at
 from .comparison import build_certificate, kappa_check
 from .model1d import (
@@ -53,10 +51,6 @@ __all__ = ["main", "build_parser"]
 
 class _Usage(Exception):
     pass
-
-
-def _json_text(payload) -> str:
-    return json.dumps(json_safe(payload), indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header, rows) -> str:
@@ -92,7 +86,7 @@ def _emit(text: str, out: str | None):
 def _output(args, payload, header, rows):
     """Emit payload as JSON, or header and rows as CSV, per --format."""
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
+        _emit(verify_mod.report_json(payload), args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
 

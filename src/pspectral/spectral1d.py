@@ -464,7 +464,9 @@ def solve_eigen_variational(domain: Domain1D, p: float,
 
 def solve_eigen_shooting(domain: Domain1D, p: float) -> EigenResult:
     """Radial backend: one phase-form solve at lam = p-1, rescaled by
-    lam(R) = (p-1) (b1/R)^p, with the profile sampled onto the mesh."""
+    lam(R) = (p-1) (b1/R)^p, with the profile sampled onto the mesh.
+    A rescaling that overflows (R near the smallest floats) raises
+    ValueError."""
     if domain.kind != "radial":
         raise ValueError("shooting backend requires a radial domain")
     if not (p > 1.0 and np.isfinite(p)):
@@ -473,29 +475,41 @@ def solve_eigen_shooting(domain: Domain1D, p: float) -> EigenResult:
     sol = solve_model(prob)
     b1 = sol.b
     R = domain.length
-    lam = (p - 1.0) * (b1 / R) ** p
-    v = np.asarray(sol.w(domain.nodes * (b1 / R)), dtype=float)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lam = (p - 1.0) * (b1 / R) ** p
+            v = np.asarray(sol.w(domain.nodes * (b1 / R)), dtype=float)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError("solve_eigen_shooting: floating-point failure "
+                         f"({exc})") from None
     return _finalize(
         domain, v, p, lam, "shooting", 0, True,
         {"b1": b1, "t0_scaled": sol.t0 * R / b1, "m_max": sol.m_max},
     )
 
 
-def _matched_model(res: EigenResult, sol: ModelSolution):
-    """Validate that the comparison profile matches the eigen-estimate."""
-    if sol.problem.params.p != res.p:
-        raise ValueError(
-            f"exponent mismatch: result p = {res.p}, profile p = "
-            f"{sol.problem.params.p}"
-        )
-    lam_m = sol.problem.params.lam
-    if abs(lam_m - res.lam) > 1e-6 * max(1.0, abs(res.lam)):
-        raise ValueError(
-            f"eigenvalue mismatch: result {res.lam!r}, profile {lam_m!r}"
-        )
+# Values handed to w^-1 are clipped this far inside the profile range
+# [-1, m_max], where w^-1 is finite.
+_CLIP_EPS = 1e-13
 
 
-def _coverage_clip(res: EigenResult, sol: ModelSolution, slack: float):
+def _profile_frame(res: EigenResult, sol: ModelSolution):
+    """Opening of the profile checks: sol must match res (same p and lam)
+    and its range [-1, m_max] must cover res's values up to max(1e-9,
+    alpha * h).  Returns (domain, alpha, alpha * h, the clipped values)."""
+    params = sol.problem.params
+    if params.p != res.p:
+        raise ValueError(
+            f"exponent mismatch: result p = {res.p}, profile p = {params.p}"
+        )
+    if abs(params.lam - res.lam) > 1e-6 * max(1.0, abs(res.lam)):
+        raise ValueError(
+            f"eigenvalue mismatch: result {res.lam!r}, profile {params.lam!r}"
+        )
+    dom = res.u.domain
+    alpha = params.alpha
+    h_norm = alpha * dom.spacing
+    slack = max(1e-9, h_norm)
     u = res.u.values
     m = sol.m_max
     umin = float(u.min())
@@ -505,8 +519,7 @@ def _coverage_clip(res: EigenResult, sol: ModelSolution, slack: float):
             f"range [{umin:.6f}, {umax:.6f}] is not covered by the profile "
             f"range [-1, {m:.6f}] (allowed slack {slack:.2e})"
         )
-    eps = 1e-13
-    return np.clip(u, -1.0 + eps, m - eps)
+    return dom, alpha, h_norm, np.clip(u, -1.0 + _CLIP_EPS, m - _CLIP_EPS)
 
 
 # Allowed cell-level gradient excess over the profile bound, in units of
@@ -524,17 +537,11 @@ def gradient_comparison_check(res: EigenResult, sol: ModelSolution) -> dict:
     normalized frame (lengths scaled by alpha = (lam/(p-1))^(1/p)), and
     the check passes iff max_violation_normalized <= 5 * alpha * h.
     """
-    _matched_model(res, sol)
-    dom = res.u.domain
-    alpha = sol.problem.params.alpha
-    h_norm = alpha * dom.spacing
-    uc = _coverage_clip(res, sol, slack=max(1e-9, h_norm))
+    dom, alpha, h_norm, uc = _profile_frame(res, sol)
     du = dom.diff(uc)
     # profile bound at nodes and at cell midpoints
     mids = (uc + np.roll(uc, -1)) / 2.0 if dom.periodic else (uc[:-1] + uc[1:]) / 2.0
-    m = sol.m_max
-    eps = 1e-13
-    mids = np.clip(mids, -1.0 + eps, m - eps)
+    mids = np.clip(mids, -1.0 + _CLIP_EPS, sol.m_max - _CLIP_EPS)
     bnd_nodes = np.asarray(sol.wdot(sol.w_inverse(uc)), dtype=float)
     bnd_mids = np.asarray(sol.wdot(sol.w_inverse(mids)), dtype=float)
     if dom.periodic:
@@ -583,12 +590,8 @@ def E_profile(res: EigenResult, sol: ModelSolution,
     within mono_tol = 10 * alpha * h * median|E|.  node_weights
     overrides the pushed-forward measure (negative controls).
     """
-    _matched_model(res, sol)
-    dom = res.u.domain
+    dom, _, h_norm, uc = _profile_frame(res, sol)
     params = sol.problem.params
-    alpha = params.alpha
-    h_norm = alpha * dom.spacing
-    uc = _coverage_clip(res, sol, slack=max(1e-9, h_norm))
     g = np.asarray(sol.w_inverse(uc), dtype=float)
     weights = dom.weights if node_weights is None else np.asarray(node_weights,
                                                                   dtype=float)

@@ -5,11 +5,17 @@ closed-form special-function values, the comparison ODE's window and
 phase properties, the inequality certificate, the finite-difference
 operator identities, the discrete eigensolvers, and the bounds table.
 
-Each criterion returns a CriterionResult; run_all assembles them into a
-deterministic report (no timestamps, fixed seeds) so that two runs with
-the same configuration emit byte-identical output.  scope="quick" uses
-reduced grids for a fast smoke pass; scope="full" runs the complete
-grids (target total runtime a few minutes).
+Each criterion is called as criterion_N(scope, cache) and returns a
+CriterionResult; run_all assembles them into a deterministic report (no
+timestamps, fixed seeds) so that two runs with the same configuration
+emit byte-identical output.  scope="quick" uses reduced grids for a fast
+smoke pass; scope="full" runs the complete grids.
+
+run_all makes one Cache per run.  It carries the run's seed and solves
+each model, certificate, eigenpair and matched profile at most once,
+however many criteria read it (see Cache for the keys).  Criteria pass
+the eigensolvers to the cache as this module's globals, looked up at
+call time, so a tracer that rebinds those globals sees every solve.
 """
 
 from __future__ import annotations
@@ -30,12 +36,7 @@ from .bochner import (
     p_laplacian_at,
 )
 from .comparison import build_certificate, kappa_check
-from .model1d import (
-    INFINITY,
-    ModelProblem,
-    PParams,
-    solve_model,
-)
+from .model1d import INFINITY, ModelProblem, PParams, solve_model
 from .ptrig import pi_p, pi_p_quadrature, sin_cos_p
 from .spectral1d import (
     E_profile,
@@ -79,18 +80,41 @@ def _fmt(x: float) -> str:
     return f"{x:.3e}"
 
 
-class Cache:
-    """Memoizes the expensive shared artifacts of a verification run."""
+# the one domain of each kind that criteria 3 and 10-12 solve on
+_DOMAINS = {"segment": {"x0": 0.0, "x1": 1.0}, "circle": {"L": 2.0},
+            "radial": {"R": 1.0}}
+# mesh size of criteria 3, 10 and 12: equal, so they share their solves
+_EIG_N = {"quick": 600, "full": 2000}
 
-    def __init__(self):
+
+class Cache:
+    """The shared state of one verification run.
+
+    seed is the run's seed.  Each artifact is computed once, on first
+    request, and kept under its key:
+
+    - model(p, n, a, lam): solve_model, lam defaulting to p - 1;
+    - certificate(p, n, a): the certificate of the lam = p - 1 model;
+    - eig(solver, kind, p, N, n): solver on the kind's one domain
+      (_DOMAINS) with N nodes and, for radial, weight n;
+    - profile(res): the model matched to the eigenpair res (a model
+      key, so criteria 10 and 12 share it).
+
+    The solver is an argument, not looked up here, so that the caller's
+    module binding (which a tracer may rebind) is the one that runs.
+    """
+
+    def __init__(self, seed: int = DEFAULT_SEED):
+        self.seed = seed
         self._models = {}
         self._certs = {}
         self._eigs = {}
 
-    def model(self, p: float, n: float, a: float):
-        key = (p, n, a)
+    def model(self, p: float, n: float, a: float, lam: float | None = None):
+        lam = p - 1.0 if lam is None else lam
+        key = (p, n, a, lam)
         if key not in self._models:
-            prob = ModelProblem(PParams(p=p, n_dim=n, lam=p - 1.0), a=a)
+            prob = ModelProblem(PParams(p=p, n_dim=n, lam=lam), a=a)
             self._models[key] = solve_model(prob)
         return self._models[key]
 
@@ -103,13 +127,21 @@ class Cache:
             )
         return self._certs[key]
 
-    def radial_eig(self, solver, n: float, p: float, N: int):
-        """solver (shooting or variational) on the radial mesh, solved
-        once per key and only when a criterion asks for it."""
-        key = (solver, n, p, N)
+    def eig(self, solver, kind: str, p: float, N: int,
+            n: float | None = None):
+        key = (solver, kind, p, N, n)
         if key not in self._eigs:
-            self._eigs[key] = solver(build_domain("radial", N, R=1.0, n=n), p)
+            dom = build_domain(kind, N, n=n, **_DOMAINS[kind])
+            self._eigs[key] = solver(dom, p)
         return self._eigs[key]
+
+    def profile(self, res):
+        """Comparison model of the equality case matched to res: a = 0
+        with the radial weight n on a radial domain, the drift-free
+        a = INFINITY with n = 1 otherwise, both at lam = res.lam."""
+        dom = res.u.domain
+        a = 0.0 if dom.kind == "radial" else INFINITY
+        return self.model(res.p, dom.n_weight, a, lam=res.lam)
 
 
 def _grids(scope: str):
@@ -118,7 +150,7 @@ def _grids(scope: str):
     return _PN_FULL, _A_FULL
 
 
-def criterion_1(scope: str = "full", cache: Cache | None = None):
+def criterion_1(scope: str, cache: Cache):
     worst = 0.0
     for p in (1.1, 1.5, 2.0, 3.0, 4.0, 10.0):
         closed = pi_p(p)
@@ -130,7 +162,7 @@ def criterion_1(scope: str = "full", cache: Cache | None = None):
                            {"max_rel": _fmt(worst), "pi2_abs": _fmt(two)})
 
 
-def criterion_2(scope: str = "full", cache: Cache | None = None):
+def criterion_2(scope: str, cache: Cache):
     worst = 0.0
     for p in (1.2, 1.5, 2.0, 3.0, 10.0):
         x = np.linspace(-2.2 * pi_p(p), 2.2 * pi_p(p), 1000)
@@ -142,39 +174,29 @@ def criterion_2(scope: str = "full", cache: Cache | None = None):
                            {"max_abs": _fmt(worst)})
 
 
-def criterion_3(scope: str = "full", cache: Cache | None = None):
-    cases = []
+def criterion_3(scope: str, cache: Cache):
     if scope == "quick":
-        for p in (2.0, 3.0):
-            cases.append(("segment", 600, p))
+        cases = [("segment", p) for p in (2.0, 3.0)]
     else:
-        for p in (1.5, 2.0, 3.0):
-            cases.append(("segment", 2000, p))
-            cases.append(("circle", 2000, p))
+        cases = [(kind, p) for p in (1.5, 2.0, 3.0)
+                 for kind in ("segment", "circle")]
     worst = 0.0
-    tight = None
     ok = True
-    for kind, N, p in cases:
-        if kind == "segment":
-            dom = build_domain("segment", N, x0=0.0, x1=1.0)
-        else:
-            dom = build_domain("circle", N, L=2.0)
-        res = solve_eigen_variational(dom, p)
+    for kind, p in cases:
+        res = cache.eig(solve_eigen_variational, kind, p, _EIG_N[scope])
         rel = abs(res.lam / (p - 1.0) - pi_p(p) ** p) / pi_p(p) ** p
         worst = max(worst, rel)
         ok &= rel <= 5e-3
         if kind == "segment" and p == 2.0:
             tight = abs(res.lam - np.pi**2) / np.pi**2
             ok &= tight <= 1e-3
-    det = {"max_rel": _fmt(worst), "n_cases": len(cases)}
-    if tight is not None:
-        det["segment_p2_rel"] = _fmt(tight)
+    # both scopes solve the segment at p = 2, which sets tight
     return CriterionResult(3, "equality-case eigenvalues on 1d domains", ok,
-                           det)
+                           {"max_rel": _fmt(worst), "n_cases": len(cases),
+                            "segment_p2_rel": _fmt(tight)})
 
 
-def criterion_4(scope: str = "full", cache: Cache | None = None):
-    cache = cache or Cache()
+def criterion_4(scope: str, cache: Cache):
     pn, avals = _grids(scope)
     ok = True
     min_gap = np.inf
@@ -198,8 +220,7 @@ def criterion_4(scope: str = "full", cache: Cache | None = None):
     )
 
 
-def criterion_5(scope: str = "full", cache: Cache | None = None):
-    cache = cache or Cache()
+def criterion_5(scope: str, cache: Cache):
     pn, avals = _grids(scope)
     worst = np.inf
     for p, n in pn:
@@ -215,8 +236,7 @@ def criterion_5(scope: str = "full", cache: Cache | None = None):
                            {"min_margin": _fmt(worst)})
 
 
-def criterion_6(scope: str = "full", cache: Cache | None = None):
-    cache = cache or Cache()
+def criterion_6(scope: str, cache: Cache):
     pn, avals = _grids(scope)
     ok = True
     min_slack = np.inf
@@ -251,7 +271,7 @@ def criterion_6(scope: str = "full", cache: Cache | None = None):
     )
 
 
-def criterion_7(scope: str = "full", cache: Cache | None = None):
+def criterion_7(scope: str, cache: Cache):
     cat = catalog()
     names = list(cat) if scope == "full" else ["poly_2d_a", "poly_3d_b"]
     worst = 0.0
@@ -282,9 +302,9 @@ def criterion_7(scope: str = "full", cache: Cache | None = None):
     )
 
 
-def criterion_8(scope: str = "full", cache: Cache | None = None,
-                seed: int = DEFAULT_SEED):
+def criterion_8(scope: str, cache: Cache):
     n_cases = 10_000 if scope == "full" else 1_500
+    seed = cache.seed
     rng = np.random.default_rng(seed)
     checked = 0
     violations = 0
@@ -316,7 +336,7 @@ def criterion_8(scope: str = "full", cache: Cache | None = None,
     )
 
 
-def criterion_9(scope: str = "full", cache: Cache | None = None):
+def criterion_9(scope: str, cache: Cache):
     cat = catalog()
     names = list(cat) if scope == "full" else ["poly_2d_a", "poly_3d_a"]
     worst = 0.0
@@ -341,38 +361,27 @@ def criterion_9(scope: str = "full", cache: Cache | None = None):
                            passed, {"max_rel": _fmt(worst)})
 
 
-def criterion_10(scope: str = "full", cache: Cache | None = None):
-    cache = cache or Cache()
+def criterion_10(scope: str, cache: Cache):
+    N = _EIG_N[scope]
+    # the radial case and the segment equality cases, each against its
+    # matched comparison profile
+    ps = (1.5, 2.0, 3.0) if scope == "full" else (3.0,)
+    cases = [cache.eig(solve_eigen_shooting, "radial", 2.0, N, n=3.0)]
+    cases += [cache.eig(solve_eigen_variational, "segment", p, N) for p in ps]
     ok = True
     worst = -np.inf
-    reports = 0
-    N = 2000 if scope == "full" else 600
-    # radial case: sampled profile against the matched comparison model
-    rs = cache.radial_eig(solve_eigen_shooting, 3.0, 2.0, N)
-    sol = solve_model(ModelProblem(PParams(2.0, 3.0, rs.lam), 0.0))
-    rep = gradient_comparison_check(rs, sol)
-    ok &= rep["passed"]
-    worst = max(worst, rep["max_violation_normalized"] / rep["h_normalized"])
-    reports += 1
-    # equality cases on the segment against drift-free profiles
-    ps = (1.5, 2.0, 3.0) if scope == "full" else (3.0,)
-    dom = build_domain("segment", N, x0=0.0, x1=1.0)
-    for p in ps:
-        res = solve_eigen_variational(dom, p)
-        prof = solve_model(ModelProblem(PParams(p, 1.0, res.lam), INFINITY))
-        rep = gradient_comparison_check(res, prof)
+    for res in cases:
+        rep = gradient_comparison_check(res, cache.profile(res))
         ok &= rep["passed"]
         worst = max(worst,
                     rep["max_violation_normalized"] / rep["h_normalized"])
-        reports += 1
     return CriterionResult(
         10, "cell-level gradient bound vs profile", ok,
-        {"worst_violation_over_h": _fmt(worst), "n_cases": reports},
+        {"worst_violation_over_h": _fmt(worst), "n_cases": len(cases)},
     )
 
 
-def criterion_11(scope: str = "full", cache: Cache | None = None):
-    cache = cache or Cache()
+def criterion_11(scope: str, cache: Cache):
     if scope == "quick":
         combos = [(3.0, 2.0), (5.0, 3.0)]
         N = 800
@@ -382,8 +391,8 @@ def criterion_11(scope: str = "full", cache: Cache | None = None):
     worst = 0.0
     ok = True
     for n, p in combos:
-        rs = cache.radial_eig(solve_eigen_shooting, n, p, N)
-        rv = cache.radial_eig(solve_eigen_variational, n, p, N)
+        rs = cache.eig(solve_eigen_shooting, "radial", p, N, n=n)
+        rv = cache.eig(solve_eigen_variational, "radial", p, N, n=n)
         rel = abs(rv.lam - rs.lam) / rs.lam
         worst = max(worst, rel)
         ok &= rel <= 5e-3
@@ -393,29 +402,22 @@ def criterion_11(scope: str = "full", cache: Cache | None = None):
     )
 
 
-def criterion_12(scope: str = "full", cache: Cache | None = None):
-    cache = cache or Cache()
-    N = 2000 if scope == "full" else 600
+def criterion_12(scope: str, cache: Cache):
+    N = _EIG_N[scope]
+    rs = cache.eig(solve_eigen_shooting, "radial", 2.0, N, n=3.0)
+    res = cache.eig(solve_eigen_variational, "segment", 2.0, N)
     ok = True
     worst = 0.0
-    rs = cache.radial_eig(solve_eigen_shooting, 3.0, 2.0, N)
-    sol = solve_model(ModelProblem(PParams(2.0, 3.0, rs.lam), 0.0))
-    rep = E_profile(rs, sol)
-    ok &= rep["monotone_ok"]
-    ok &= rep["spread"] <= 10.0 * rep["h_normalized"]
-    worst = max(worst, rep["spread"] / rep["h_normalized"])
-    dom = build_domain("segment", N, x0=0.0, x1=1.0)
-    res = solve_eigen_variational(dom, 2.0)
-    prof = solve_model(ModelProblem(PParams(2.0, 1.0, res.lam), INFINITY))
-    rep_s = E_profile(res, prof)
-    ok &= rep_s["monotone_ok"]
-    ok &= rep_s["spread"] <= 10.0 * rep_s["h_normalized"]
-    worst = max(worst, rep_s["spread"] / rep_s["h_normalized"])
+    for case in (rs, res):
+        rep = E_profile(case, cache.profile(case))
+        ok &= rep["monotone_ok"]
+        ok &= rep["spread"] <= 10.0 * rep["h_normalized"]
+        worst = max(worst, rep["spread"] / rep["h_normalized"])
     # negative control: extra mass near the minimum must flip the verdict
     # (run on the segment instance, whose measure is not degenerate there)
-    wpert = dom.weights.copy()
+    wpert = res.u.domain.weights.copy()
     wpert[res.u.values < -0.98] *= 30.0
-    ctrl = E_profile(res, prof, node_weights=wpert)
+    ctrl = E_profile(res, cache.profile(res), node_weights=wpert)
     ok &= not ctrl["monotone_ok"]
     return CriterionResult(
         12, "mass-ratio profile constancy and control", ok,
@@ -424,7 +426,7 @@ def criterion_12(scope: str = "full", cache: Cache | None = None):
     )
 
 
-def criterion_13(scope: str = "full", cache: Cache | None = None):
+def criterion_13(scope: str, cache: Cache):
     ok = True
     worst = 0.0
     for p in (2.0, 3.0, 4.0):
@@ -437,13 +439,12 @@ def criterion_13(scope: str = "full", cache: Cache | None = None):
                            {"max_ratio_rel": _fmt(worst)})
 
 
-def criterion_14(scope: str = "full", cache: Cache | None = None,
-                 seed: int = DEFAULT_SEED):
+def criterion_14(scope: str, cache: Cache):
     # run the reduced suite twice end to end; the formatted reports must
     # agree byte for byte
-    rep1 = format_report(run_all(scope="quick", seed=seed,
+    rep1 = format_report(run_all(scope="quick", seed=cache.seed,
                                  include_determinism=False))
-    rep2 = format_report(run_all(scope="quick", seed=seed,
+    rep2 = format_report(run_all(scope="quick", seed=cache.seed,
                                  include_determinism=False))
     same = rep1 == rep2
     return CriterionResult(
@@ -461,15 +462,9 @@ def run_all(scope: str = "full", seed: int = DEFAULT_SEED,
             include_determinism: bool = True) -> dict:
     if scope not in ("quick", "full"):
         raise ValueError("scope must be 'quick' or 'full'")
-    cache = Cache()
-    results = []
-    for fn in CRITERIA:
-        if fn is criterion_14 and not include_determinism:
-            continue
-        if fn in (criterion_8, criterion_14):
-            results.append(fn(scope, cache, seed=seed))
-        else:
-            results.append(fn(scope, cache))
+    cache = Cache(seed=seed)
+    results = [fn(scope, cache) for fn in CRITERIA
+               if include_determinism or fn is not criterion_14]
     return {
         "scope": scope,
         "seed": seed,
@@ -496,4 +491,6 @@ def format_report(report: dict) -> str:
 
 
 def report_json(report: dict) -> str:
+    """JSON text of a report (or any CLI payload): sorted keys, indent 2,
+    non-finite floats as strings."""
     return json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"

@@ -254,12 +254,18 @@ def test_eigensolve_missing_domain_flags(capsys):
     ["--kind", "segment", "--p", "200"],
     ["--kind", "circle", "--p", "2", "--L", "1e-300"],
     ["--kind", "segment", "--p", "3", "--x1", "1e-300"],
+    ["--kind", "radial", "--p", "2", "--R", "1e-300", "--n", "3",
+     "--method", "shooting"],
+    ["--kind", "radial", "--p", "2", "--R", "1e-200", "--n", "3",
+     "--method", "shooting"],
 ])
 def test_eigensolve_overflow_is_clean(extra):
     # p = 200: |grad|^2 overflowed, the normalized gradient was 0 and the
     # level stopped on step collapse after one iteration with lambda
     # 8.77e223; on a 1e-300 domain the differences overflowed and the
-    # run ended on "identically zero"; both printed RuntimeWarnings
+    # run ended on "identically zero"; both printed RuntimeWarnings.
+    # Shooting on a tiny radius overflowed the Python float (b1/R)^p and
+    # printed a traceback.
     code, out, err = run_module("eigensolve", "--N", "16", *extra)
     assert "Warning" not in err, err
     if code == 0:
