@@ -207,6 +207,7 @@ def _cmd_certify(args) -> int:
         "all_ok": cert.all_ok,
         "kappa": {k: kk[k] for k in
                   ("kappa_positive", "kappa_t0_rel_err", "max_rel_deviation")},
+        "x_law_dev": cert.diagnostics["x_law_dev"],
         "grid_size": len(cert.grid["t"]),
     }
     if args.grid_out:

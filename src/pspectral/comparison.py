@@ -8,7 +8,11 @@ vanishes identically:
 * the ratio X(t) = lam^(1/(p-1)) w/wdot and the slope functions
   eta(s, t), beta(s, t), y1(t), y2(t) built from it;
 * an auxiliary barrier f solving f' = min(eta(f), beta(f)) - offset
-  from f(t0) = p/(p-1) T(t0), integrated to both ends of the window;
+  from f(t0) = p/(p-1) T(t0), integrated to both ends of the window
+  together with X, which follows its trajectory law
+  X' = lam^(1/(p-1)) - T X/(p-1) + |X|^p/(p-1) from X(t0) = 0 (DOP853
+  in plain floats; the grid's X column still comes from the phase
+  solution, and the gap between the two is reported as x_law_dev);
 * the convexity witness kappa(t), positive away from t0;
 * the residual of the third coefficient (a3), which measures how well
   the trajectory satisfies the underlying one-dimensional equation and
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._util import as_scalar_or_array, spow
+from ._util import as_scalar_or_array, guarded, spow
 from .model1d import INFINITY, ModelSolution
 
 __all__ = [
@@ -96,16 +100,21 @@ def eta_beta(s, t, sol: ModelSolution):
     x = X_of(sol, t)
     p, n, _ = _pnl(sol)
     tv, _ = _drift(sol, t)
-    p1 = spow(x, p - 1.0)
-    s = np.asarray(s, dtype=float)
+    eta, beta = _slopes(p, n, np.asarray(s, dtype=float), tv, spow(x, p - 1.0))
+    scalar = eta.ndim == 0
+    return as_scalar_or_array(eta, scalar), as_scalar_or_array(beta, scalar)
+
+
+def _slopes(p, n, s, tv, p1):
+    """(eta, beta) from s, T and p1 = X^(p-1): plain arithmetic, so s,
+    tv and p1 may be floats or arrays."""
     eta = s / (p - 1.0) * (tv - p1) + s * s * (p - n) / (p * (n - 1.0))
     beta = (
         -p * tv / (p - 1.0) * (n * tv / (n - 1.0) - p1)
         - s * s
         + s * ((2.0 * n / (n - 1.0) + 1.0 / (p - 1.0)) * tv - p / (p - 1.0) * p1)
     )
-    scalar = eta.ndim == 0
-    return as_scalar_or_array(eta, scalar), as_scalar_or_array(beta, scalar)
+    return eta, beta
 
 
 def _y1_y2(sol: ModelSolution, t):
@@ -132,6 +141,12 @@ def _kappa_xt(p, n, lam, x, tv):
     return k0 + c * (np.abs(x) ** p - m * tv * x)
 
 
+def _x_rate(p, lam1, x, tv):
+    """The trajectory law X' = lam1 - T X/(p-1) + |X|^p/(p-1), with
+    lam1 = lam^(1/(p-1)); x and tv may be floats or arrays."""
+    return lam1 - tv * x / (p - 1.0) + abs(x) ** p / (p - 1.0)
+
+
 def _kappa_dot_xt(p, n, lam, x, tv):
     """d(kappa)/dt along trajectories, as a pure function of (X, T).
 
@@ -142,7 +157,7 @@ def _kappa_dot_xt(p, n, lam, x, tv):
     _, c, m = _kappa_constants(p, n, lam)
     lam1 = lam ** (1.0 / (p - 1.0))
     p1 = spow(x, p - 1.0)
-    xd = lam1 - tv * x / (p - 1.0) + np.abs(x) ** p / (p - 1.0)
+    xd = _x_rate(p, lam1, x, tv)
     # X * dX^(p-1)/dt = (p-1)|X|^(p-2) X' * X, expanded with X'
     xpd = (p - 1.0) * lam1 * p1 - tv * np.abs(x) ** p + spow(x, 2.0 * p - 1.0)
     return c * (xd * (p1 - m * tv) + xpd - m * x * tv * tv / (n - 1.0))
@@ -228,6 +243,7 @@ class Certificate:
 _N_GRID = 151
 
 
+@guarded
 def build_certificate(
     sol: ModelSolution,
     epsilon: float | None = None,
@@ -238,12 +254,20 @@ def build_certificate(
 
     f solves f' = min(eta(f), beta(f)) - offset from f(t0) =
     p/(p-1) T(t0), forward on [t0, b-epsilon] and backward (same
-    integrator over a decreasing time span) on [a+epsilon, t0].
+    integrator over a decreasing time span) on [a+epsilon, t0].  The
+    slopes need X, so the pair (X, f) is integrated together from
+    (0, f(t0)), X by its trajectory law (_x_rate) with T = -(n-1)/t in
+    closed form: one right-hand side in plain floats, DOP853 at rtol
+    1e-12 and atol 1e-13 with dense output.  The grid's X column comes
+    from the phase solution (X_of); diagnostics['x_law_dev'] is the
+    largest gap between the two on the grid, relative to max(1, |X|).
     Defaults: epsilon = 1e-3 * delta, offset = 1e-6 * max(1, lam^(2/(p-1))).
 
-    Divergence of f inside the window is reported as a failed
+    Divergence of f inside the window, and a float overflow or a
+    non-finite state in the barrier, are reported as a failed
     certificate (all verdicts False), not an exception.  A solution
-    with a = INFINITY or n <= 1 (where the slopes divide by n-1) raises
+    with a = INFINITY or n <= 1 (where the slopes divide by n-1), or
+    with lam^(1/(p-1)) = 0 in floating point (p near 1), raises
     ValueError before any integration.
     """
     if sol.problem.a == INFINITY:
@@ -262,37 +286,63 @@ def build_certificate(
     if offset <= 0.0:
         raise ValueError("offset must be positive")
 
+    lam1 = lam ** (1.0 / (p - 1.0))
+    if lam1 == 0.0:
+        # X = 0 would solve the law for all t: no orbit to certify
+        raise ValueError(f"lam^(1/(p-1)) underflows to 0 at p = {p!r}, "
+                         f"lam = {lam!r}")
+
     lo, hi = a + epsilon, b - epsilon
     f0 = p / (p - 1.0) * float(_drift(sol, t0)[0])
     big = 1e8
+    calls = [0]
 
     def rhs(t, y):
-        e, be = eta_beta(y[0], t, sol)
-        return (min(e, be) - offset,)
+        calls[0] += 1
+        x, s = y.tolist()
+        tv = -(n - 1.0) / float(t)  # solve_ivp passes numpy scalars
+        e, be = _slopes(p, n, s, tv, math.copysign(abs(x) ** (p - 1.0), x))
+        xd = _x_rate(p, lam1, x, tv)
+        if not (math.isfinite(xd) and math.isfinite(e) and math.isfinite(be)):
+            raise OverflowError("barrier state left the float range")
+        return xd, min(e, be) - offset
 
     def blow(t, y):
-        return abs(y[0]) - big
+        return abs(y[1]) - big
 
     blow.terminal = True
 
-    ivp_opts = dict(method="RK45", rtol=1e-10, atol=1e-12, dense_output=True,
-                    events=[blow])
-    sol_f = solve_ivp(rhs, (t0, hi), (f0,), **ivp_opts)
-    sol_b = solve_ivp(rhs, (t0, lo), (f0,), **ivp_opts)
+    sides, nfev = [], []
+    for end in (hi, lo):
+        before = calls[0]
+        try:
+            sides.append(solve_ivp(rhs, (t0, end), (0.0, f0), method="DOP853",
+                                   rtol=1e-12, atol=1e-13, dense_output=True,
+                                   events=[blow]))
+        except (OverflowError, FloatingPointError):
+            sides.append(None)
+        nfev.append(calls[0] - before)
+    sol_f, sol_b = sides
+    blew_up = any(side is None or side.status != 0 for side in sides)
 
-    blew_up = sol_f.status != 0 or sol_b.status != 0
+    def dense(t):
+        """Rows (X, f) of the integrated pair at the 1-D times t; NaN
+        off the integrated part."""
+        out = np.full((2, t.size), math.nan)
+        if sol_f is not None:
+            fwd = (t >= t0) & (t <= sol_f.t[-1])
+            if fwd.any():
+                out[:, fwd] = sol_f.sol(t[fwd])
+        if sol_b is not None:
+            bwd = (t < t0) & (t >= sol_b.t[-1])
+            if bwd.any():
+                out[:, bwd] = sol_b.sol(t[bwd])
+        return out
 
     def f_eval(t):
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
-        t = np.atleast_1d(arr)
-        out = np.full(t.shape, math.nan)
-        fwd = (t >= t0) & (t <= sol_f.t[-1])
-        bwd = (t < t0) & (t >= sol_b.t[-1])
-        if fwd.any():
-            out[fwd] = sol_f.sol(t[fwd])[0]
-        if bwd.any():
-            out[bwd] = sol_b.sol(t[bwd])[0]
+        out = dense(np.atleast_1d(arr))[1]
         return as_scalar_or_array(out[0] if scalar else out, scalar)
 
     gl = np.linspace(lo, t0, _N_GRID)
@@ -300,7 +350,7 @@ def build_certificate(
     ts = np.unique(np.concatenate([gl, gr]))
 
     # a NaN f (past a blow-up) propagates NaN through eta and beta
-    f = f_eval(ts)
+    x_law, f = dense(ts)
     e, be = eta_beta(f, ts, sol)
     fd = np.minimum(e, be) - offset
     y1, y2 = _y1_y2(sol, ts)
@@ -342,12 +392,18 @@ def build_certificate(
         d1 = (f_eval(tq + hstep) - f_eval(tq - hstep)) / (2.0 * hstep)
         e, be = eta_beta(f_eval(tq), tq, sol)
         fd_dev = float(np.max(np.abs(d1 - (np.minimum(e, be) - offset))))
+    seen = np.isfinite(x_law)
+    x_law_dev = math.nan
+    if seen.any():
+        x_law_dev = float(np.max(np.abs(x_law[seen] - x[seen])
+                                 / np.maximum(1.0, np.abs(x[seen]))))
     diagnostics = {
         "f_blowup": bool(blew_up),
         "f_at_t0": f0,
         "f_rhs_differenced_dev": fd_dev,
-        "nfev_forward": int(sol_f.nfev),
-        "nfev_backward": int(sol_b.nfev),
+        "nfev_forward": nfev[0],
+        "nfev_backward": nfev[1],
+        "x_law_dev": x_law_dev,
     }
     return Certificate(
         solution=sol,
@@ -360,6 +416,7 @@ def build_certificate(
     )
 
 
+@guarded
 def kappa_check(cert: Certificate) -> dict:
     """Validate the convexity witness kappa along the certificate grid.
 
@@ -374,6 +431,9 @@ def kappa_check(cert: Certificate) -> dict:
       derivatives of |X|^p blow up);
     - n_fd_points: the number of grid points in that comparison.
 
+    Raises ValueError when the exact kappa(t0) underflows to 0 (p near
+    1), where the relative error at t0 has no meaning.
+
     The reduction of the closed-form derivative on the set kappa = 0,
     an identity in (X, T) independent of the orbit, is proved in the
     tests rather than re-derived here.
@@ -383,6 +443,9 @@ def kappa_check(cert: Certificate) -> dict:
     a, b, t0 = sol.a_eff, sol.b, sol.t0
     delta = sol.delta
     k0, _, _ = _kappa_constants(p, n, lam)
+    if k0 == 0.0:
+        raise ValueError(f"kappa_check: the exact kappa(t0) = n (p-1)^2 "
+                         f"lam^(1/(p-1)) underflows to 0 at p = {p!r}")
 
     def kap(t):
         tv, _ = _drift(sol, t)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._util import as_scalar_or_array, spow
+from ._util import as_scalar_or_array, guarded, spow
 from .ptrig import _pval, inv_sin_p, pi_p, sin_cos_p
 
 __all__ = [
@@ -283,8 +283,14 @@ def _solve_phase(p, n, a, alpha, rtol, atol, h0):
     ev_top.terminal = True
     ev_top.direction = 1.0
 
+    rhs = _phase_rhs(p, n, alpha)
+    if not all(map(math.isfinite, rhs(t_start, y0))):
+        # solve_ivp's step-size search never ends on a non-finite slope
+        raise ValueError(f"the phase equation is not finite at its start, "
+                         f"normalized time {t_start!r} (drift -(n-1)/t = "
+                         f"{-(n - 1.0) / t_start!r})")
     t_max = max(a, t_start) + 1.05 * n * 2.0 * hp / alpha + 1.0
-    sol = solve_ivp(_phase_rhs(p, n, alpha), (t_start, t_max), y0,
+    sol = solve_ivp(rhs, (t_start, t_max), y0,
                     method="DOP853", events=[ev_zero, ev_top],
                     rtol=rtol, atol=atol, dense_output=True)
     if len(sol.t_events[1]) == 0:
@@ -306,6 +312,7 @@ def _solve_phase(p, n, a, alpha, rtol, atol, h0):
 _PHASE_CHECK_TOL = 1e-9
 
 
+@guarded
 def solve_model(
     prob: ModelProblem,
     *,
@@ -324,7 +331,9 @@ def solve_model(
         setting every caller shares, the CLI, the certificate and
         `verify` alike; tighter values serve self-checks.
 
-    Raises RuntimeError if event localization fails.
+    Raises RuntimeError if event localization fails, and ValueError on
+    a floating-point failure (overflow, division by zero or an invalid
+    operation) in the solve.
     """
     pp = prob.params
     p, n, alpha = pp.p, pp.n_dim, pp.alpha

@@ -164,7 +164,8 @@ def build_domain(kind: str, N: int, *, L: float | None = None,
                  R: float | None = None, n: float | None = None) -> Domain1D:
     """Build a uniform mesh: circle(L), segment(x0, x1), radial(R, n).
 
-    Weights that overflow raise ValueError."""
+    Weights that overflow, and radial weights that all underflow to 0,
+    raise ValueError."""
     N = int(N)
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -199,6 +200,10 @@ def build_domain(kind: str, N: int, *, L: float | None = None,
     w[0] *= 0.5
     w[-1] *= 0.5
     cw = ((nodes[:-1] + nodes[1:]) / 2.0) ** (n - 1.0) * h
+    if not w.any():
+        raise ValueError(f"build_domain: floating-point failure (every "
+                         f"node weight r^(n-1) h of the radial domain with "
+                         f"R = {R!r} and n = {n!r} underflows to 0)")
     return Domain1D(kind, N, nodes, w, cw, h, float(R), float(n))
 
 

@@ -4,10 +4,12 @@ These re-derive key quantities through routes that share no code with
 the package internals: direct integration of the divergence-form ODE
 for the 1D comparison problem, classical special-function values for
 the p = 2 reductions, and extended-precision (mpmath) values of the
-p-trigonometric functions and of the p-mean shift.  The one exception is
-descend_reference, a frozen copy of the variational solver's per-level
-descent in its original arithmetic, against which the library's lean
-inner loop is checked bit for bit.
+p-trigonometric functions and of the p-mean shift.  There are two
+exceptions, frozen copies of earlier library routes that a faster one
+replaced: descend_reference, the variational solver's per-level descent
+in its original arithmetic, against which the library's lean inner loop
+is checked bit for bit; and barrier_reference, the certificate barrier
+integrated alone with X read from the phase solution at every step.
 """
 
 from __future__ import annotations
@@ -78,6 +80,34 @@ def solve_divergence_form(p, n, a, lam, h0=1e-6, rtol=1e-11, atol=1e-13):
     t_zero = float(sol.t_events[0][0])
     m_max = float(sol.y_events[1][0][0])
     return b, t_zero, m_max
+
+
+def barrier_reference(sol, epsilon, offset, ts):
+    """The certificate barrier f at the times ts, by the original route.
+
+    f' = min(eta, beta)(f, t) - offset from f(t0) = p/(p-1) T(t0) is
+    integrated alone by RK45 at rtol 1e-10 and atol 1e-12, forward to
+    b - epsilon and backward to a + epsilon; every right-hand-side call
+    asks the library's eta_beta, which reads X from the phase solution
+    (X_of), not from the trajectory law.
+    """
+    from pspectral.comparison import eta_beta
+
+    pp = sol.problem.params
+    p, n, t0 = pp.p, pp.n_dim, sol.t0
+    f0 = -p * (n - 1.0) / ((p - 1.0) * t0)
+
+    def rhs(t, y):
+        e, be = eta_beta(y[0], t, sol)
+        return (min(e, be) - offset,)
+
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty_like(ts)
+    for end, on in ((sol.b - epsilon, ts >= t0), (sol.a_eff + epsilon, ts < t0)):
+        side = solve_ivp(rhs, (t0, end), (f0,), method="RK45", rtol=1e-10,
+                         atol=1e-12, dense_output=True)
+        out[on] = side.sol(ts[on])[0]
+    return out
 
 
 def bessel_case_n2():

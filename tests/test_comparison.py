@@ -6,7 +6,9 @@ regenerates it, and refuses to unless a solve at tightened tolerances
 agrees.
 """
 
+import copy
 import csv
+import dataclasses
 import math
 import pathlib
 
@@ -20,7 +22,9 @@ from pspectral import (
     pi_p,
     solve_model,
     tan_p,
+    verify,
 )
+from pspectral import comparison
 from pspectral._util import spow
 from pspectral.comparison import (
     X_of,
@@ -30,6 +34,8 @@ from pspectral.comparison import (
     kappa_check,
     reconstruct_psi,
 )
+
+from oracles import barrier_reference
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -254,3 +260,100 @@ def test_reconstruct_psi_rejects_invalid(ref_sol):
     assert not bad.all_ok
     with pytest.raises(ValueError):
         reconstruct_psi(bad)
+
+
+def test_kappa_check_refuses_underflowing_kappa_t0(ref_cert, ref_sol):
+    # near p = 1, k0 = n (p-1)^2 lam^(1/(p-1)) underflows to 0 and the
+    # relative error at t0 divided by it
+    fake = copy.copy(ref_sol)
+    fake.problem = ModelProblem(PParams(1.0001, 3, 0.929), 1.0)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        kappa_check(dataclasses.replace(ref_cert, solution=fake))
+
+
+def test_certificate_refuses_underflowing_law_rate():
+    # lam^(1/(p-1)) = 0 would make X = 0 a solution of the law
+    sol = solve_model(ModelProblem(PParams(1.0000001, 2, 1e-7), 1.0))
+    with pytest.raises(ValueError, match="underflows to 0"):
+        build_certificate(sol)
+
+
+def _fail_after(kind, t_bad):
+    rate = comparison._x_rate
+
+    def x_rate(p, lam1, x, tv):
+        if -2.0 / tv > t_bad:  # n = 3: t = -(n-1)/T
+            if kind == "overflow":
+                raise OverflowError("(34, 'Numerical result out of range')")
+            return math.inf if kind == "inf" else math.nan
+        return rate(p, lam1, x, tv)
+
+    return x_rate
+
+
+@pytest.mark.parametrize("kind", ["overflow", "inf", "nan"])
+def test_barrier_float_failure_is_a_failed_certificate(ref_sol, monkeypatch,
+                                                       kind):
+    # a float overflow or a non-finite state in the barrier right-hand
+    # side, here past t_bad on the forward side, fails the certificate
+    t_bad = ref_sol.t0 + 0.3 * (ref_sol.b - ref_sol.t0)
+    monkeypatch.setattr(comparison, "_x_rate", _fail_after(kind, t_bad))
+    cert = build_certificate(ref_sol)
+    assert not any(cert.verdict.values())
+    assert cert.diagnostics["f_blowup"] is True
+    assert cert.diagnostics["nfev_forward"] > 0
+    f = cert.f_dense(np.array([ref_sol.t0 - 0.1, ref_sol.t0 + 0.1]))
+    assert math.isfinite(f[0]) and math.isnan(f[1])
+    assert cert.diagnostics["x_law_dev"] < 1e-7  # the backward side ran
+
+
+# The known certificate cases at verify's settings (epsilon = 1e-3 delta,
+# offset 1e-6, a3_tol 1e-6): the full grid and four cases off it.  Two
+# more cases named with them, (1.5, 2, 0.1) and (3, 2, 10), lie on the
+# grid.  The failures at (6, 3, 1), (10, 4, 2) and (1.1, 2, 0.5) are
+# known and stay visible until their cause is settled.
+_OFF_GRID = [(1.2, 3.0, 1.0), (6.0, 3.0, 1.0), (10.0, 4.0, 2.0),
+             (1.1, 2.0, 0.5)]
+_KNOWN_FAILURES = {(6.0, 3.0, 1.0): {"ordering"},
+                   (10.0, 4.0, 2.0): {"ordering"},
+                   (1.1, 2.0, 0.5): {"a3_small"}}
+_ORACLE_CASES = [(p, n, a) for p, n in verify._PN_QUICK
+                 for a in verify._A_QUICK] + _OFF_GRID
+
+
+@pytest.fixture(scope="module")
+def known_certs():
+    cache = verify.Cache()
+    cases = [(p, n, a) for p, n in verify._PN_FULL
+             for a in verify._A_FULL] + _OFF_GRID
+    return {case: cache.certificate(*case) for case in cases}
+
+
+def test_known_certificate_verdicts(known_certs):
+    assert len(known_certs) == 28
+    for case, cert in known_certs.items():
+        failed = {k for k, ok in cert.verdict.items() if not ok}
+        assert failed == _KNOWN_FAILURES.get(case, set()), case
+        assert not cert.diagnostics["f_blowup"], case
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_barrier_matches_the_phase_solution_route(known_certs, case):
+    # f from the (X, f) law integration against the frozen f-only
+    # integration that reads X from the phase solution at every call
+    cert = known_certs[case]
+    ts = cert.grid["t"]
+    ref = barrier_reference(cert.solution, cert.epsilon, cert.offset, ts)
+    got = cert.grid["f"]
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-8
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(c, marks=pytest.mark.xfail(
+        strict=True, reason="at p = 1.1 the backward law integration "
+        "toward the blow-up of X at a loses relative accuracy: "
+        "x_law_dev reads 2.6e-5"))
+    if c == (1.1, 2.0, 0.5) else c
+    for c in _ORACLE_CASES])
+def test_law_x_matches_the_phase_solution(known_certs, case):
+    assert known_certs[case].diagnostics["x_law_dev"] <= 1e-7

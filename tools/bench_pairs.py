@@ -13,6 +13,16 @@ each side's median and quartiles, and how many pairs the change won on
 each metric (by the direction BENCHMARK.json gives it) or tied, plus
 the machine and the Python, numpy and scipy versions.  Workloads
 already in the output file are kept, so one file holds several.
+
+The run ends with one verdict line per metric:
+
+- "gain" when the change won at least nine tenths of the pairs (ties
+  count for neither side) and its median is better than the parent's
+  by more than the distance between the parent's quartiles;
+- "worse" when the change's median is worse than the parent's by more
+  than the metric's BENCHMARK.json bound, read as a fraction of the
+  parent's median;
+- "within bound" otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +55,18 @@ def quartiles(xs: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def verdict(s: dict, pairs: int, bound: float) -> str:
+    """Classify one metric's summary s as gain, worse or within bound."""
+    sign = 1.0 if s["better"] == "lower" else -1.0
+    par, chg = s["parent"], s["change"]
+    diff = sign * (chg["median"] - par["median"])  # < 0: the change is better
+    if 10 * s["change_wins"] >= 9 * pairs and -diff > par["q3"] - par["q1"]:
+        return "gain"
+    if diff > bound * abs(par["median"]):
+        return "worse"
+    return "within bound"
+
+
 def machine() -> dict:
     model = platform.processor()
     try:
@@ -73,6 +95,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
@@ -98,6 +121,8 @@ def main(argv=None) -> int:
             "change_wins": sum(sign * (c - p) < 0.0 for p, c in zip(par, chg)),
             "ties": sum(c == p for p, c in zip(par, chg)),
         }
+        summary[name]["verdict"] = verdict(summary[name], args.pairs,
+                                           bounds[name])
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["machine"] = machine()
     doc.setdefault("workloads", {})[args.workload] = {
@@ -111,6 +136,8 @@ def main(argv=None) -> int:
               f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  change "
               f"{s['change']['median']:.6g}  change wins "
               f"{s['change_wins']}/{args.pairs}")
+    for name, s in summary.items():
+        print(f"{name}: {s['verdict']}")
     return 0
 
 
