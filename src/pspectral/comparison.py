@@ -263,12 +263,13 @@ def build_certificate(
     largest gap between the two on the grid, relative to max(1, |X|).
     Defaults: epsilon = 1e-3 * delta, offset = 1e-6 * max(1, lam^(2/(p-1))).
 
-    Divergence of f inside the window, and a float overflow or a
-    non-finite state in the barrier, are reported as a failed
-    certificate (all verdicts False), not an exception.  A solution
-    with a = INFINITY or n <= 1 (where the slopes divide by n-1), or
-    with lam^(1/(p-1)) = 0 in floating point (p near 1), raises
-    ValueError before any integration.
+    Divergence of f inside the window, a float overflow or a
+    non-finite state in the barrier, and a side whose first step is
+    already below the float spacing at t0 (t0 near 5e11 at p = 1.5),
+    are reported as a failed certificate (all verdicts False), not an
+    exception.  A solution with a = INFINITY or n <= 1 (where the
+    slopes divide by n-1), or with lam^(1/(p-1)) = 0 in floating point
+    (p near 1), raises ValueError before any integration.
     """
     if sol.problem.a == INFINITY:
         raise ValueError("certificates require a finite left endpoint")
@@ -316,11 +317,13 @@ def build_certificate(
     for end in (hi, lo):
         before = calls[0]
         try:
-            sides.append(solve_ivp(rhs, (t0, end), (0.0, f0), method="DOP853",
-                                   rtol=1e-12, atol=1e-13, dense_output=True,
-                                   events=[blow]))
+            side = solve_ivp(rhs, (t0, end), (0.0, f0), method="DOP853",
+                             rtol=1e-12, atol=1e-13, dense_output=True,
+                             events=[blow])
         except (OverflowError, FloatingPointError):
-            sides.append(None)
+            side = None
+        # a solve that took no step has no dense output to read
+        sides.append(side if side is not None and side.t.size > 1 else None)
         nfev.append(calls[0] - before)
     sol_f, sol_b = sides
     blew_up = any(side is None or side.status != 0 for side in sides)

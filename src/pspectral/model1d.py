@@ -57,7 +57,8 @@ _N_SAMPLES = 600
 
 @dataclass(frozen=True)
 class PParams:
-    """Problem data (p, n_dim, lam) with the derived scale alpha.
+    """Problem data (p, n_dim, lam) with the derived scale alpha, which
+    must be a positive finite float.
 
     n_dim may be any real >= 1 (the comparison argument allows
     replacing the integer dimension by a real n' >= n).
@@ -79,7 +80,13 @@ class PParams:
         if not math.isfinite(lam) or lam <= 0.0:
             raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "alpha", (lam / (pv - 1.0)) ** (1.0 / pv))
+        alpha = (lam / (pv - 1.0)) ** (1.0 / pv)
+        if not 0.0 < alpha < math.inf:
+            # an infinite scale made the a = 0 solve start at 0 * inf = nan
+            raise ValueError(f"the scale (lam/(p-1))^(1/p) is {alpha!r} at "
+                             f"p = {pv!r}, lam = {lam!r}; it must be finite "
+                             f"and positive")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)

@@ -69,20 +69,24 @@ def _pval(p) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _p_constants(pv: float):
-    """Per-p constants (pi_p, a, b, B(a, b)) with a = 1/p, b = 1 - 1/p.
+    """Per-p constants (pi_p, a, b, B(a, b), y_split) with a = 1/p,
+    b = 1 - 1/p.
 
     Shared by the scalar and the array paths of sin_cos_p and by the
     other functions of the family; pv must already be validated.  B is
     inf for p within a few ulps of the largest float, where gamma(1/p)
-    ~ p overflows.
+    ~ p overflows.  y_split is where the principal solve changes branch
+    (see _principal_sin_cos).
     """
     # sin(pi/p) = sin(pi*(p-1)/p).  For p < 2 the second form is used:
     # p - 1 is exact there, while pi/p lies next to pi, where the sine
     # cancels and loses all relative accuracy as p -> 1.
     angle = math.pi * (pv - 1.0) / pv if pv < 2.0 else math.pi / pv
     a, b = 1.0 / pv, 1.0 - 1.0 / pv
+    # the complement's z = 1 - s**p exceeds 0.99 exactly below this y
+    y_split = max(0.7, 1.0 - float(betainc(b, a, 0.99)))
     return (2.0 * math.pi / (pv * math.sin(angle)), a, b,
-            float(gamma(a) * gamma(b)))
+            float(gamma(a) * gamma(b)), y_split)
 
 
 def pi_p(p) -> float:
@@ -126,8 +130,13 @@ def inv_sin_p_quadrature(s: float, p) -> float:
         return 0.0
     q = pv / (pv - 1.0)
     t_lo = (1.0 - abs(sv)) ** (1.0 / q)
+    # t**q climbs from e^-40 to 1 over the last 40/q of [0, 1]: as p -> 1
+    # that layer narrows, and quad misses it unless told where it starts.
+    # At p >= 1.026 (q <= 40) the break lies outside [t_lo, 1].
+    t_break = 1.0 - 40.0 / q
     val, _ = integrate.quad(
-        _quad_integrand, t_lo, 1.0, args=(pv,), epsabs=1e-14, epsrel=1e-13, limit=200
+        _quad_integrand, t_lo, 1.0, args=(pv,), epsabs=1e-14, epsrel=1e-13, limit=200,
+        points=[t_break] if t_lo < t_break else None,
     )
     return math.copysign(val, sv)
 
@@ -156,9 +165,17 @@ def inv_sin_p(s, p):
         bad = arr[np.abs(arr) > 1.0 + 1e-15][0]
         raise ValueError(f"argument must lie in [-1, 1], got {bad}")
     arr = np.clip(arr, -1.0, 1.0)
-    pp, a, b, _ = _p_constants(pv)
+    pp, a, b, _, _ = _p_constants(pv)
     out = np.sign(arr) * 0.5 * pp * betainc(a, b, np.abs(arr) ** pv)
     return as_scalar_or_array(out[0] if scalar else out, scalar)
+
+
+# The principal solve takes the complement branch at y = x/(pi_p/2) >=
+# y_split = max(0.7, 1 - I(b, a; 0.99)), that is, at y >= 0.7 unless the
+# complement's z = 1 - s**p exceeds 0.99: at large p, s**p is small
+# there too (1e-31 at p = 200, y = 0.7), z rounds toward 1 and
+# s = (1 - z)**(1/p) loses its digits.  At p <= 10, s**p >= 0.033 on
+# y >= 0.7, so y_split = 0.7 and the complement branch keeps that range.
 
 
 def _principal_sin_cos(x: np.ndarray, pv: float):
@@ -166,21 +183,21 @@ def _principal_sin_cos(x: np.ndarray, pv: float):
 
     Inverts the incomplete-beta form of the defining integral with
     betaincinv, then applies safeguarded Newton corrections on the
-    monotone map itself.  Near the right endpoint the complement
-    variable z = 1 - s**p (= cos_p**p) is solved instead so that cos_p
-    retains full relative accuracy.  Where u = s**p falls below 1e-300
-    it has lost its precision to underflow (at large p this happens at
-    moderate s: s**p < 1e-300 for s < 0.5 at p = 1000); there
-    x(s) = s + s**(p+1)/(p(p+1)) + ... equals s to double precision, so
-    s = x.  _sin_cos_scalar is the same algorithm on Python floats.
+    monotone map itself.  Near the right endpoint (y >= y_split, see
+    above) the complement variable z = 1 - s**p (= cos_p**p) is solved
+    instead so that cos_p retains full relative accuracy.  Where u = s**p falls below 1e-300 it has lost its
+    precision to underflow (at large p this happens at moderate s:
+    s**p < 1e-300 for s < 0.5 at p = 1000); there x(s) = s +
+    s**(p+1)/(p(p+1)) + ... equals s to double precision, so s = x.
+    _sin_cos_scalar is the same algorithm on Python floats.
     """
-    pp, a, b, beta_ab = _p_constants(pv)
+    pp, a, b, beta_ab, y_split = _p_constants(pv)
     hp = 0.5 * pp
     y = np.clip(x / hp, 0.0, 1.0)
     s = np.empty_like(y)
     z = np.empty_like(y)  # z = 1 - s**p = cos_p**p
 
-    lo = y < 0.7
+    lo = y < y_split
     hi = ~lo
     if np.any(lo):
         yl = y[lo]
@@ -234,7 +251,7 @@ def _sin_cos_scalar(x: float, pv: float):
     """
     if not math.isfinite(x):
         return math.nan, math.nan
-    pp, a, b, beta_ab = _p_constants(pv)
+    pp, a, b, beta_ab, y_split = _p_constants(pv)
     hp = 0.5 * pp
 
     r = x % (2.0 * pp)  # the floored modulo of np.mod
@@ -247,7 +264,7 @@ def _sin_cos_scalar(x: float, pv: float):
         r = pp - r  # r in [0, pi_p/2]
 
     y = min(max(r / hp, 0.0), 1.0)
-    if y < 0.7:
+    if y < y_split:
         u = float(betaincinv(a, b, y))
         s = _pow(u, a)
         for _ in range(2):
@@ -288,7 +305,7 @@ def sin_cos_p(x, p):
     x gives NaN.
     """
     pv = _pval(p)
-    pp, _, _, beta_ab = _p_constants(pv)
+    pp, _, _, beta_ab, _ = _p_constants(pv)
     if math.isinf(beta_ab):
         raise ValueError(f"exponent too large: B(1/p, 1-1/p) overflows at p = {pv!r}")
     if isinstance(x, float) or np.ndim(x) == 0:
@@ -341,7 +358,7 @@ def arctan_p(y, p):
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    pp, a, b, _ = _p_constants(pv)
+    pp, a, b, _, _ = _p_constants(pv)
     hp = 0.5 * pp
     out = np.empty_like(arr)
     inf_mask = np.isinf(arr)

@@ -11,7 +11,10 @@ The first nontrivial eigenvalue of the p-Laplacian is computed two ways:
   by projected, weight-preconditioned, normalized subgradient descent
   with backtracking line search, warm-started through a coarse-to-fine
   mesh hierarchy; the projection finds the p-mean shift by a
-  safeguarded Newton iteration;
+  safeguarded Newton iteration.  Each mesh level runs in one _Level
+  workspace, which holds the level's constants and every array an
+  iteration writes, and whose iterates equal those of the frozen
+  reference descent (tests/oracles.descend_reference) bit for bit;
 * solve_eigen_shooting (radial only): solves the phase-form comparison
   ODE once at lam = p-1, then rescales by the exact scale covariance
   lam(R) = (p-1) (b1/R)^p and samples the profile onto the mesh.
@@ -57,9 +60,10 @@ class Domain1D:
     weights: per-node quadrature weights of the domain measure (zero at
     t = 0 on radial domains with n > 1).  cell_weights: per-cell weights
     used by the energy numerator, evaluated at cell midpoints.  diff and
-    diff_adjoint subtract array slices into one new array (on the circle
-    the wrap entry is set on its own) and divide it by the spacing in
-    place: the descent calls them once per trial and per iteration.
+    diff_adjoint subtract array slices into one array (on the circle the
+    wrap entry is set on its own) and divide it by the spacing in place;
+    the descent passes its workspace's arrays as out, once per trial and
+    per iteration.
     """
 
     kind: str
@@ -75,28 +79,34 @@ class Domain1D:
     def periodic(self) -> bool:
         return self.kind == "circle"
 
-    def diff(self, values: np.ndarray) -> np.ndarray:
-        """Forward difference per cell (periodic wrap on circles)."""
+    def diff(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Forward difference per cell (periodic wrap on circles), into
+        out when given."""
         n = len(values) - 1
-        out = np.empty(n + 1 if self.periodic else n)
+        if out is None:
+            out = np.empty(n + 1 if self.periodic else n)
         np.subtract(values[1:], values[:-1], out=out[:n])
         if self.periodic:
             out[n] = values[0] - values[n]
         out /= self.spacing
         return out
 
-    def diff_adjoint(self, q: np.ndarray) -> np.ndarray:
-        """Adjoint of diff against the plain (unweighted) node sum."""
+    def diff_adjoint(self, q: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Adjoint of diff against the plain (unweighted) node sum, into
+        out when given."""
+        if out is None:
+            out = np.empty(self.N)
         if self.periodic:
             # q[i-1] - q[i], as np.roll(q, 1) - q gives it
-            out = np.empty(len(q))
             np.subtract(q[:-1], q[1:], out=out[1:])
             out[0] = q[-1] - q[0]
             out /= self.spacing
             return out
+        # (0 - qh[i]) + qh[i-1], as zeros, -= qh and += qh give it
         qh = q / self.spacing
-        out = np.zeros(self.N)
-        out[:-1] -= qh
+        np.subtract(0.0, qh, out=out[:-1])
+        out[-1] = 0.0
         out[1:] += qh
         return out
 
@@ -207,7 +217,16 @@ def build_domain(kind: str, N: int, *, L: float | None = None,
     return Domain1D(kind, N, nodes, w, cw, h, float(R), float(n))
 
 
-def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+def _pow(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """x ** e into out, rounded as numpy's ``**`` rounds it: ``**`` takes
+    e = 0.5 as sqrt, which also runs faster than np.power."""
+    if e == 0.5:
+        return np.sqrt(x, out=out)
+    return np.power(x, e, out=out)
+
+
+def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float,
+                 scratch: tuple | None = None) -> float:
     """The unique c with g(c) = sum(weights * spow(values - c, p-1)) = 0.
 
     g is strictly decreasing in c, so [min, max] brackets the root.
@@ -224,33 +243,51 @@ def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     three passes per call.  The whole search runs under one np.errstate
     that ignores overflow, division by zero and invalid operations: a g'
     that is not finite sends its pass to bisection, and a g that
-    overflows keeps its sign.
+    overflows keeps its sign.  The passes write into scratch, three
+    arrays of len(values) (the descent's workspace holds them), or into
+    three new ones.
+
+    The weights are first scaled by the power of two that puts their
+    maximum in [1, 2).  That scale is exact and moves neither the root
+    nor a Newton step, but it keeps the products weights * |x|^(p-1)
+    from underflowing where tiny weights would: at weights of 5e-324
+    every product is a multiple of 5e-324, and g jumps over its root.
+    The descent's workspace passes weights already so scaled.
     """
-    lo = float(np.minimum.reduce(values))
-    hi = float(np.maximum.reduce(values))
+    # argmin and argmax run faster than the min and max reductions
+    lo = float(values[values.argmin()])
+    hi = float(values[values.argmax()])
     if hi - lo < 1e-300:
         return lo
+    e = math.frexp(float(weights[weights.argmax()]))[1]
+    if e != 1:
+        weights = np.ldexp(weights, 1 - e)
+    if scratch is None:
+        scratch = tuple(np.empty(len(values)) for _ in range(3))
+    x, ax, a = scratch
+    pm1 = p - 1.0
     c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     dx_old = hi - lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
-            x = values - c
-            ax = np.abs(x)
-            a = ax ** (p - 1.0)
-            gc = float(np.dot(weights, np.copysign(a, x)))
+            # values - 0.0 is values
+            xc = values if c == 0.0 else np.subtract(values, c, out=x)
+            np.abs(xc, out=ax)
+            _pow(ax, pm1, a)
+            gc = float(weights.dot(np.copysign(a, xc, out=x)))
             if gc > 0.0:
                 lo = c
             elif gc < 0.0:
                 hi = c
             else:
                 return c
-            dg = (p - 1.0) * float(np.dot(weights, a / ax))
+            dg = pm1 * float(weights.dot(np.divide(a, ax, out=x)))
             if math.isnan(dg) and p >= 2.0:
                 # 0/0 at an exact zero of x, where |x|^(p-2) is 1 at
                 # p = 2 and 0 above: g' is finite there
                 r = np.divide(a, ax, out=np.full_like(a, float(p == 2.0)),
                               where=ax > 0.0)
-                dg = (p - 1.0) * float(np.dot(weights, r))
+                dg = pm1 * float(weights.dot(r))
             step = gc / dg if 0.0 < dg < math.inf else math.nan
             new = c + step
             if not (lo <= new <= hi and abs(2.0 * step) <= abs(dx_old)):
@@ -269,14 +306,96 @@ def _pmean_shift(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return c
 
 
-def _project(dom: Domain1D, values: np.ndarray, p: float):
-    """Shift to zero p-mean, then scale to unit weighted p-norm."""
-    c = _pmean_shift(values, dom.weights, p)
-    v = values - c
-    nrm = float(np.dot(dom.weights, np.abs(v) ** p)) ** (1.0 / p)
-    if nrm == 0.0 or not math.isfinite(nrm):
-        raise ValueError("function is identically zero after the p-mean shift")
-    return v / nrm, c
+class _Level:
+    """The descent's workspace on one mesh level for one p.
+
+    It holds the domain (weights, cell weights, spacing), p - 1, 1/p and
+    the preconditioner, and every array an iteration writes: the current
+    point v with its difference dv, the trial point v2 with dv2 (the two
+    pairs swap when a trial is accepted), the gradient and scratch.
+    Every step fills these arrays through numpy's out=, so an iteration
+    allocates next to nothing.  The arithmetic is the reference descent's
+    (tests/oracles.descend_reference) operation for operation, so the
+    iterates are the same bit for bit.
+    """
+
+    def __init__(self, dom: Domain1D, p: float):
+        self.dom = dom
+        self.w = dom.weights
+        self.cw = dom.cell_weights
+        self.p = p
+        self.pm1 = p - 1.0
+        self.inv_p = 1.0 / p
+        self.precond = np.maximum(self.w, 1e-3 * self.w.mean())
+        # the weights as _pmean_shift scales them
+        self.w_shift = np.ldexp(self.w, 1 - math.frexp(float(self.w.max()))[1])
+        N, M = dom.N, len(self.cw)
+        self.v, self.dv = np.empty(N), np.empty(M)
+        self.v2, self.dv2 = np.empty(N), np.empty(M)
+        self.grad = np.empty(N)
+        self.scratch = (np.empty(N), np.empty(N), np.empty(N))
+        self.cells = np.empty(M)
+
+    def project(self, values: np.ndarray):
+        """Shift values to zero p-mean and scale them to unit weighted
+        p-norm, into v2, and difference v2 into dv2.  Returns (the
+        Rayleigh quotient of v2, the shift)."""
+        t, ax, s, p = self.v2, self.scratch[1], self.cells, self.p
+        c = _pmean_shift(values, self.w_shift, p, self.scratch)
+        np.subtract(values, c, out=t)
+        nrm = float(self.w.dot(_pow(np.abs(t, out=ax), p, ax))) ** self.inv_p
+        if nrm == 0.0 or not math.isfinite(nrm):
+            raise ValueError("function is identically zero after the p-mean shift")
+        np.divide(t, nrm, out=t)
+        dv = self.dom.diff(t, out=self.dv2)
+        num = float(self.cw.dot(_pow(np.abs(dv, out=s), p, s)))
+        den = float(self.w.dot(_pow(np.abs(t, out=ax), p, ax)))
+        return num / den, c
+
+    def rayleigh(self, values: np.ndarray) -> float:
+        """rayleigh_quotient of values, scaled exactly as it describes."""
+        e = math.frexp(float(np.max(np.abs(values))))[1]
+        return self.project(np.ldexp(values, 1 - e))[0]
+
+    def accept(self):
+        """Make the trial point the current one."""
+        self.v, self.v2 = self.v2, self.v
+        self.dv, self.dv2 = self.dv2, self.dv
+
+    def trial(self, step: float) -> float:
+        """Project v - step * grad into v2; returns its Rayleigh quotient."""
+        t = np.multiply(self.grad, step, out=self.v2)
+        return self.project(np.subtract(self.v, t, out=t))[0]
+
+    def gradient(self, lam: float) -> float:
+        """The preconditioned subgradient of the energy at v into grad,
+        divided by its Euclidean norm; returns that norm (below 1e-18
+        grad is left undivided).  When the squared norm overflows, grad
+        is first divided by the power of two that puts max|grad| in
+        [1, 2): the direction is the same."""
+        p, pm1, s, g = self.p, self.pm1, self.cells, self.grad
+        r, lw = self.scratch[0], self.scratch[1]
+        # zero element at cell kinks (Du = 0)
+        np.copysign(_pow(np.abs(self.dv, out=s), pm1, s), self.dv, out=s)
+        np.multiply(self.cw, s, out=s)
+        np.multiply(s, p, out=s)
+        self.dom.diff_adjoint(s, out=g)
+        np.copysign(_pow(np.abs(self.v, out=r), pm1, r), self.v, out=r)
+        np.multiply(self.w, lam * p, out=lw)
+        np.subtract(g, np.multiply(lw, r, out=r), out=g)
+        np.divide(g, self.precond, out=g)
+        try:
+            gg = float(g.dot(g))
+        except FloatingPointError:  # an overflow raised under guarded()
+            gg = math.inf
+        if not gg < math.inf:
+            e = math.frexp(float(np.maximum.reduce(np.abs(g))))[1]
+            np.ldexp(g, 1 - e, out=g)
+            gg = float(g.dot(g))
+        gn = math.sqrt(gg)
+        if not gn < 1e-18:
+            np.divide(g, gn, out=g)
+        return gn
 
 
 def rayleigh_quotient(u: DiscreteFunction, p: float) -> float:
@@ -288,70 +407,36 @@ def rayleigh_quotient(u: DiscreteFunction, p: float) -> float:
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    e = math.frexp(float(np.max(np.abs(u.values))))[1]
-    v = _project(u.domain, np.ldexp(u.values, 1 - e), p)[0]
-    return _rq_raw(u.domain, v, u.domain.diff(v), p)
-
-
-def _rq_raw(dom: Domain1D, v: np.ndarray, dv: np.ndarray, p: float) -> float:
-    """The Rayleigh quotient of v, given its difference dv = dom.diff(v)."""
-    num = float(np.dot(dom.cell_weights, np.abs(dv) ** p))
-    den = float(np.dot(dom.weights, np.abs(v) ** p))
-    return num / den
-
-
-def _grad_norm(grad: np.ndarray):
-    """(g, |g|), |g| the Euclidean norm as np.linalg.norm takes it.  g is
-    grad itself, or, when the squared norm overflows, grad divided by
-    the power of two that puts max|g| in [1, 2): g / |g| is the same
-    direction either way."""
-    try:
-        gg = float(np.dot(grad, grad))
-    except FloatingPointError:  # an overflow raised under guarded()
-        gg = math.inf
-    if gg < math.inf:
-        gn = math.sqrt(gg)
-    else:
-        e = math.frexp(float(np.maximum.reduce(np.abs(grad))))[1]
-        grad = np.ldexp(grad, 1 - e)
-        gn = math.sqrt(float(np.dot(grad, grad)))
-    return grad, gn
+    return _Level(u.domain, p).rayleigh(u.values)
 
 
 def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
     """Projected preconditioned subgradient descent on one mesh level.
 
     Returns (values, rq, iterations, stopped_by) with stopped_by one of
-    "stall", "step_collapse", "gradient_zero", "cap".  Each line-search
-    trial costs one projection, one difference and one Rayleigh
-    quotient, a few O(N) array passes: the p-mean shift of a trial
-    starts next to its root and takes about two Newton passes.  The
+    "stall", "step_collapse", "gradient_zero", "cap".  One _Level
+    workspace serves the whole level: each line-search trial is one
+    projection (a p-mean shift starting next to its root, about two
+    Newton passes), one difference and one Rayleigh quotient, and the
     accepted trial's difference serves the next iteration's gradient.
+    The iterates are those of tests/oracles.descend_reference bit for
+    bit.
     """
-    v, _ = _project(dom, v, p)
-    dv = dom.diff(v)
-    lam = _rq_raw(dom, v, dv, p)
-    precond = np.maximum(dom.weights, 1e-3 * dom.weights.mean())
+    ws = _Level(dom, p)
+    lam = ws.project(v)[0]
+    ws.accept()
     step = _STEP0
     stall = 0
     it = 0
     stopped = "cap"
     while it < cap:
         it += 1
-        # subgradient of the energy: zero element at cell kinks (Du = 0)
-        q = dom.cell_weights * spow(dv, p - 1.0) * p
-        grad = dom.diff_adjoint(q) - lam * p * dom.weights * spow(v, p - 1.0)
-        grad /= precond
-        grad, gn = _grad_norm(grad)
-        if gn < 1e-18:
+        if ws.gradient(lam) < 1e-18:
             stopped = "gradient_zero"
             break
-        grad /= gn
         improved = False
         while step > 1e-15:
-            v2, _ = _project(dom, v - step * grad, p)
-            dv2 = dom.diff(v2)
-            lam2 = _rq_raw(dom, v2, dv2, p)
+            lam2 = ws.trial(step)
             if lam2 < lam:
                 improved = True
                 break
@@ -360,13 +445,14 @@ def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
             stopped = "step_collapse"
             break
         rel = (lam - lam2) / max(abs(lam), 1e-300)
-        v, dv, lam = v2, dv2, lam2
+        ws.accept()
+        lam = lam2
         step *= 1.3
         stall = stall + 1 if rel < _TOL else 0
         if stall >= _STALL_WINDOW:
             stopped = "stall"
             break
-    return v, lam, it, stopped
+    return ws.v, lam, it, stopped
 
 
 def _coarse_chain(N: int, coarsest: int) -> list:
@@ -404,13 +490,14 @@ def _initial_guess(dom: Domain1D, p: float, rng) -> np.ndarray:
 def _finalize(dom: Domain1D, v: np.ndarray, p: float, lam: float,
               method: str, iterations: int, converged: bool,
               diagnostics: dict) -> EigenResult:
-    v, c = _project(dom, v, p)
-    scale = -1.0 / float(v.min())
-    v = v * scale
+    ws = _Level(dom, p)
+    c = ws.project(v)[1]
+    scale = -1.0 / float(ws.v2.min())
+    v = ws.v2 * scale
     u = DiscreteFunction(dom, v)
     pmean = abs(float(np.dot(dom.weights, spow(v, p - 1.0))))
     pnorm = float(np.dot(dom.weights, np.abs(v) ** p))
-    rq = rayleigh_quotient(u, p)
+    rq = ws.rayleigh(v)
     residual = max(pmean / pnorm, abs(rq - lam) / max(abs(lam), 1e-300))
     return EigenResult(
         lam=float(lam),
@@ -467,11 +554,12 @@ def solve_eigen_variational(domain: Domain1D, p: float,
                      {"levels": level_info, "options": opts})
 
 
+@guarded
 def solve_eigen_shooting(domain: Domain1D, p: float) -> EigenResult:
     """Radial backend: one phase-form solve at lam = p-1, rescaled by
     lam(R) = (p-1) (b1/R)^p, with the profile sampled onto the mesh.
-    A rescaling that overflows (R near the smallest floats) raises
-    ValueError."""
+    A rescaling, or a difference of the sampled profile, that overflows
+    (R near the smallest floats) raises ValueError."""
     if domain.kind != "radial":
         raise ValueError("shooting backend requires a radial domain")
     if not (p > 1.0 and np.isfinite(p)):
@@ -480,13 +568,8 @@ def solve_eigen_shooting(domain: Domain1D, p: float) -> EigenResult:
     sol = solve_model(prob)
     b1 = sol.b
     R = domain.length
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            lam = (p - 1.0) * (b1 / R) ** p
-            v = np.asarray(sol.w(domain.nodes * (b1 / R)), dtype=float)
-    except (FloatingPointError, OverflowError) as exc:
-        raise ValueError("solve_eigen_shooting: floating-point failure "
-                         f"({exc})") from None
+    lam = (p - 1.0) * (b1 / R) ** p
+    v = np.asarray(sol.w(domain.nodes * (b1 / R)), dtype=float)
     return _finalize(
         domain, v, p, lam, "shooting", 0, True,
         {"b1": b1, "t0_scaled": sol.t0 * R / b1, "m_max": sol.m_max},

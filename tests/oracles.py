@@ -188,7 +188,9 @@ def sin_cos_p_mp(x, p, dps=40):
             u, z = mpmath.mpf(0), mpmath.mpf(1)
         elif y == 1:
             u, z = mpmath.mpf(1), mpmath.mpf(0)
-        elif y < 0.5:
+        elif y < mpmath.betainc(a, b, 0, 0.5, regularized=True):
+            # u < 1/2: at large p that holds far beyond y = 1/2 (u is
+            # 1e-31 at p = 200, y = 0.7)
             u = _solve_regularized_beta(a, b, y)
             z = 1 - u
         else:

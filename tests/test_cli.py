@@ -194,11 +194,22 @@ def test_certify_rejects_n_at_most_one():
     assert err == ""
 
 
+def test_certify_far_window_is_a_failed_certificate():
+    # at a = 5.5e11 the barrier's first step is below the float spacing
+    # at t0 on both sides; reading the stepless dense output raised an
+    # IndexError traceback
+    code, out, err = run_module("certify", "--p", "1.5", "--n", "2",
+                                "--a", "549755813886.0")
+    assert (code, err) == (1, "")
+    assert not any(json.loads(out)["verdict"].values())
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--p", "1.0000001", "--n", "2", "--a", "1"],
     ["certify", "--p", "2", "--n", "1e300", "--a", "1"],
     ["model", "--p", "2", "--n", "1e300", "--a", "1", "--lambda", "1"],
     ["model", "--p", "1.1", "--n", "8", "--a", "5e-324"],
+    ["model", "--p", "1.1", "--n", "3", "--a", "0", "--lambda", "1e308"],
 ])
 def test_model_and_certify_float_failures_are_clean(argv):
     # p near 1: lam^(1/(p-1)) underflowed to 0, X_of printed
@@ -206,7 +217,9 @@ def test_model_and_certify_float_failures_are_clean(argv):
     # traceback); n = 1e300: the phase solve printed scipy's "overflow
     # encountered in divide" RuntimeWarning before failing; a = 5e-324:
     # the drift -(n-1)/a overflowed, the first slope was NaN and the
-    # solver's step-size search never ended
+    # solver's step-size search never ended; lam = 1e308 at p = 1.1: the
+    # scale (lam/(p-1))^(1/p) was inf and the a = 0 solve, started at
+    # 0 * inf = nan, never ended either
     code, out, err = run_module(*argv)
     assert code in (1, 2), (code, err)
     assert err.count("\n") == 1, err
@@ -292,6 +305,8 @@ def test_eigensolve_missing_domain_flags(capsys):
      "--method", "shooting"],
     ["--kind", "radial", "--p", "2", "--R", "1e-200", "--n", "3",
      "--method", "shooting"],
+    ["--kind", "radial", "--p", "1.125", "--R", "2.168435946916333e-264",
+     "--n", "1", "--method", "shooting"],
 ])
 def test_eigensolve_overflow_is_clean(extra):
     # p = 200: |grad|^2 overflowed, the normalized gradient was 0 and the
@@ -299,7 +314,8 @@ def test_eigensolve_overflow_is_clean(extra):
     # 8.77e223; on a 1e-300 domain the differences overflowed and the
     # run ended on "identically zero"; both printed RuntimeWarnings.
     # Shooting on a tiny radius overflowed the Python float (b1/R)^p and
-    # printed a traceback.
+    # printed a traceback; at R = 2.2e-264 the rescale fits but the
+    # differences of the sampled profile overflowed (a RuntimeWarning).
     code, out, err = run_module("eigensolve", "--N", "16", *extra)
     assert "Warning" not in err, err
     if code == 0:
@@ -478,6 +494,47 @@ def test_model_and_certify_finite_inputs_end_in_an_exit_code(p, n, a):
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert code == 0 or err.getvalue().count("\n") == 1 or (
             argv[0] == "certify" and code == 1 and err.getvalue() == ""), (
+            argv, err.getvalue())
+
+
+
+def _bounded_from_zero(p, n):
+    """False where the phase solve from a = 0 has no bound on its cost
+    (open defect, see CHANGES.md): at p from about 1e30 with n from
+    1e160 on it runs for minutes (p = n = 3.6e207 past 100 s)."""
+    return not (p > 1e20 and n >= 1e160)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.one_of(st.floats(1.1, 8.0), finite),
+       n=st.one_of(st.floats(1.0, 8.0), finite),
+       avals=st.lists(st.one_of(st.floats(0.0, 100.0), finite), min_size=1,
+                      max_size=2),
+       lam=st.one_of(st.none(), st.floats(0.1, 10.0), finite),
+       N=st.integers(16, 32),
+       R=st.one_of(st.floats(0.1, 10.0), finite))
+def test_delta_scan_and_shooting_finite_inputs_end_in_an_exit_code(
+        p, n, avals, lam, N, R):
+    # the phase solve behind both, with the exclusions of the model and
+    # certify property and one for the a = 0 start that both use; a
+    # failing delta-scan row is a status, not an exit.  A tiny R once
+    # overflowed the shooting profile's differences (a RuntimeWarning)
+    assume(_affordable_phase_solve(p, n) and _bounded_from_zero(p, n))
+    scan = ["delta-scan", "--p", repr(p), "--n", repr(n),
+            "--a-values", ",".join(repr(a) for a in avals)]
+    if lam is not None:
+        scan += ["--lambda", repr(lam)]
+    for argv in (scan,
+                 ["eigensolve", "--kind", "radial", "--method", "shooting",
+                  "--N", str(N), "--p", repr(p), "--R", repr(R),
+                  "--n", repr(n)]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert code == 0 or err.getvalue().count("\n") == 1, (
             argv, err.getvalue())
 
 

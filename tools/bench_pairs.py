@@ -67,6 +67,22 @@ def verdict(s: dict, pairs: int, bound: float) -> str:
     return "within bound"
 
 
+def summarize(par: list, chg: list, better: str, bound: float) -> dict:
+    """One metric's summary over paired runs (par[i] against chg[i]):
+    each side's quartiles, the pairs the change won by the direction
+    `better` ("lower" or "higher"), the ties, and the verdict."""
+    sign = 1.0 if better == "lower" else -1.0
+    s = {
+        "better": better,
+        "parent": quartiles(par),
+        "change": quartiles(chg),
+        "change_wins": sum(sign * (c - p) < 0.0 for p, c in zip(par, chg)),
+        "ties": sum(c == p for p, c in zip(par, chg)),
+    }
+    s["verdict"] = verdict(s, len(par), bound)
+    return s
+
+
 def machine() -> dict:
     model = platform.processor()
     try:
@@ -109,20 +125,12 @@ def main(argv=None) -> int:
         print(f"pair {row['pair']:2d} ({order[0]} first): wall_s parent "
               f"{row['parent']['wall_s']:.3f} change "
               f"{row['change']['wall_s']:.3f}", flush=True)
-    summary = {}
-    for name, direction in better.items():
-        par = [r["parent"][name] for r in pairs]
-        chg = [r["change"][name] for r in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
-        summary[name] = {
-            "better": direction,
-            "parent": quartiles(par),
-            "change": quartiles(chg),
-            "change_wins": sum(sign * (c - p) < 0.0 for p, c in zip(par, chg)),
-            "ties": sum(c == p for p, c in zip(par, chg)),
-        }
-        summary[name]["verdict"] = verdict(summary[name], args.pairs,
-                                           bounds[name])
+    summary = {
+        name: summarize([r["parent"][name] for r in pairs],
+                        [r["change"][name] for r in pairs], direction,
+                        bounds[name])
+        for name, direction in better.items()
+    }
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc["machine"] = machine()
     doc.setdefault("workloads", {})[args.workload] = {
