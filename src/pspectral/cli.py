@@ -147,8 +147,7 @@ def _cmd_ptrig(args) -> int:
 # ---------------------------------------------------------------- model
 
 def _solve_from_args(args):
-    lam = args.lam if args.lam is not None else args.p - 1.0
-    prob = ModelProblem(PParams(p=args.p, n_dim=args.n, lam=lam),
+    prob = ModelProblem(PParams(p=args.p, n_dim=args.n, lam=args.lam),
                         a=_parse_a(args.a))
     return solve_model(prob)
 
@@ -174,11 +173,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_delta_scan(args) -> int:
-    lam = args.lam if args.lam is not None else args.p - 1.0
     avals = _parse_floats(args.a_values, "--a-values")
     if not avals:
         raise _Usage("--a-values must contain at least one endpoint")
-    rows = delta_scan(avals, PParams(p=args.p, n_dim=args.n, lam=lam))
+    rows = delta_scan(avals, PParams(p=args.p, n_dim=args.n, lam=args.lam))
     header = ["a", "delta", "m_max", "t0", "b", "status"]
     _output(args, {"rows": rows}, header,
             [[r[k] for k in header] for r in rows])
@@ -189,9 +187,7 @@ def _cmd_delta_scan(args) -> int:
 
 def _cmd_certify(args) -> int:
     sol = _solve_from_args(args)
-    eps = args.epsilon if args.epsilon is not None else 1e-3 * sol.delta
-    cert = build_certificate(sol, epsilon=eps, offset=args.offset,
-                             a3_tol=args.a3_tol)
+    cert = build_certificate(sol)
     kk = kappa_check(cert)
     payload = {
         "p": sol.problem.params.p,
@@ -267,17 +263,8 @@ def _cmd_bochner(args) -> int:
 # ------------------------------------------------------------ eigensolve
 
 def _cmd_eigensolve(args) -> int:
-    kind = args.kind
-    if kind == "circle":
-        if args.L is None:
-            raise _Usage("circle domains need --L")
-        dom = build_domain("circle", args.N, L=args.L)
-    elif kind == "segment":
-        dom = build_domain("segment", args.N, x0=args.x0, x1=args.x1)
-    else:
-        if args.R is None or args.n is None:
-            raise _Usage("radial domains need --R and --n")
-        dom = build_domain("radial", args.N, R=args.R, n=args.n)
+    dom = build_domain(args.kind, args.N, L=args.L, x0=args.x0, x1=args.x1,
+                       R=args.R, n=args.n)
     if args.method == "shooting":
         res = solve_eigen_shooting(dom, args.p)
     else:
@@ -376,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=float, required=True)
     sp.add_argument("--a", required=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="window margin (default 1e-3 * delta)")
-    sp.add_argument("--offset", type=float, default=None,
-                    help="drift offset (default scale-aware)")
-    sp.add_argument("--a3-tol", dest="a3_tol", type=float, default=1e-6)
     sp.add_argument("--grid-out", default=None,
                     help="also write the certificate grid CSV here")
     _add_common(sp, default_format="json")

@@ -24,7 +24,10 @@ vanishes identically:
 A Certificate stores the full evaluation grid so it can be emitted and
 inspected offline; its verdict summarizes four properties: positive
 slacks, the f-vs-y1 ordering, positivity of kappa, and smallness of
-the a3 residual.
+the a3 residual.  Every certificate is built at one setting, shared by
+the CLI and the acceptance suite: window margin epsilon = 1e-3 delta,
+barrier offset 1e-6 alpha^2 (alpha the problem's scale, 1 at
+lam = p - 1) and a3 bound 1e-6.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ def _pnl(sol: ModelSolution):
     return pp.p, pp.n_dim, pp.lam
 
 
-def _window(sol: ModelSolution):
-    return sol.a_eff, sol.b
-
-
 def _drift(sol: ModelSolution, t):
     """Drift T(t) and its derivative dT/dt = T^2/(n-1) (zero drift for
     the translation-invariant problem)."""
@@ -71,7 +70,7 @@ def _drift(sol: ModelSolution, t):
 
 
 def _check_window(sol, t):
-    a, b = _window(sol)
+    a, b = sol.a_eff, sol.b
     t = np.asarray(t, dtype=float)
     if np.any(t <= a) or np.any(t >= b):
         raise ValueError(f"t must lie strictly inside ({a}, {b})")
@@ -115,17 +114,6 @@ def _slopes(p, n, s, tv, p1):
         + s * ((2.0 * n / (n - 1.0) + 1.0 / (p - 1.0)) * tv - p / (p - 1.0) * p1)
     )
     return eta, beta
-
-
-def _y1_y2(sol: ModelSolution, t):
-    """Closed forms of the comparison slopes:
-    y1 = p/(p-1) (T - (n-1)/n X^(p-1)),  y2 = p/(p-1) T."""
-    p, n, _ = _pnl(sol)
-    tv, _ = _drift(sol, t)
-    x = X_of(sol, t)
-    y2 = p / (p - 1.0) * tv
-    y1 = p / (p - 1.0) * (tv - (n - 1.0) / n * spow(x, p - 1.0))
-    return y1, y2
 
 
 def _kappa_constants(p, n, lam):
@@ -186,7 +174,7 @@ def a3_residual(sol: ModelSolution, t):
     """
     _check_window(sol, t)
     p, n, lam = _pnl(sol)
-    a, b = _window(sol)
+    a, b = sol.a_eff, sol.b
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     t = np.atleast_1d(arr)
@@ -241,15 +229,15 @@ class Certificate:
 
 # Points on each side of t0 in the certificate grid (t0 is shared).
 _N_GRID = 151
+# The one certificate setting at lam = p - 1 (alpha = 1): window margin
+# epsilon over delta, barrier offset, and the bound on |a3_residual|.
+_EPS_OVER_DELTA = 1e-3
+_OFFSET = 1e-6
+_A3_TOL = 1e-6
 
 
 @guarded
-def build_certificate(
-    sol: ModelSolution,
-    epsilon: float | None = None,
-    offset: float | None = None,
-    a3_tol: float = 1e-6,
-) -> Certificate:
+def build_certificate(sol: ModelSolution) -> Certificate:
     """Integrate the barrier f and evaluate every certificate column.
 
     f solves f' = min(eta(f), beta(f)) - offset from f(t0) =
@@ -259,9 +247,16 @@ def build_certificate(
     (0, f(t0)), X by its trajectory law (_x_rate) with T = -(n-1)/t in
     closed form: one right-hand side in plain floats, DOP853 at rtol
     1e-12 and atol 1e-13 with dense output.  The grid's X column comes
-    from the phase solution (X_of); diagnostics['x_law_dev'] is the
-    largest gap between the two on the grid, relative to max(1, |X|).
-    Defaults: epsilon = 1e-3 * delta, offset = 1e-6 * max(1, lam^(2/(p-1))).
+    from the phase solution, evaluated once for the whole grid;
+    diagnostics['x_law_dev'] is the largest gap between the two on the
+    grid, relative to max(1, |X|).
+
+    There is one setting: epsilon = 1e-3 * delta, offset = 1e-6 *
+    alpha^2 with alpha = PParams.alpha, and a3_small bounds |a3| by
+    1e-6.  The scale covariance t -> alpha t of the equation multiplies
+    every slope by alpha^2, so the offset is the same fraction of the
+    slopes at every lam (1e-6 itself at lam = p - 1, where alpha = 1).
+    An offset that underflows to 0 or overflows raises ValueError.
 
     Divergence of f inside the window, a float overflow or a
     non-finite state in the barrier, and a side whose first step is
@@ -278,14 +273,12 @@ def build_certificate(
         raise ValueError(f"certificates require n > 1, got n = {n!r}")
     a, b, t0 = sol.a_eff, sol.b, sol.t0
     delta = sol.delta
-    if epsilon is None:
-        epsilon = 1e-3 * delta
-    if not 0.0 < epsilon < 0.5 * delta:
-        raise ValueError(f"epsilon must lie in (0, delta/2), got {epsilon!r}")
-    if offset is None:
-        offset = 1e-6 * max(1.0, lam ** (2.0 / (p - 1.0)))
-    if offset <= 0.0:
-        raise ValueError("offset must be positive")
+    epsilon = _EPS_OVER_DELTA * delta
+    alpha = sol.problem.params.alpha
+    offset = _OFFSET * (alpha * alpha)
+    if not 0.0 < offset < math.inf:
+        raise ValueError(f"the barrier offset 1e-6 alpha^2 is {offset!r} at "
+                         f"alpha = {alpha!r}; it must be finite and positive")
 
     lam1 = lam ** (1.0 / (p - 1.0))
     if lam1 == 0.0:
@@ -352,15 +345,20 @@ def build_certificate(
     gr = np.linspace(t0, hi, _N_GRID)
     ts = np.unique(np.concatenate([gl, gr]))
 
+    # one phase-solution evaluation of X for the whole grid
+    _check_window(sol, ts)
+    w, wdot = sol.state(ts)
+    x = lam1 * w / wdot
+    tv, _ = _drift(sol, ts)
+    p1 = spow(x, p - 1.0)
     # a NaN f (past a blow-up) propagates NaN through eta and beta
     x_law, f = dense(ts)
-    e, be = eta_beta(f, ts, sol)
+    e, be = _slopes(p, n, f, tv, p1)
     fd = np.minimum(e, be) - offset
-    y1, y2 = _y1_y2(sol, ts)
-    tv, _ = _drift(sol, ts)
-    x = X_of(sol, ts)
     cols = {
-        "X": x, "f": f, "eta_of_f": e, "beta_of_f": be, "y1": y1, "y2": y2,
+        "X": x, "f": f, "eta_of_f": e, "beta_of_f": be,
+        "y1": p / (p - 1.0) * (tv - (n - 1.0) / n * p1),
+        "y2": p / (p - 1.0) * tv,
         "kappa": _kappa_xt(p, n, lam, x, tv),
         "slack1": e - fd, "slack2": be - fd,
         "a3_residual": a3_residual(sol, ts),
@@ -381,7 +379,7 @@ def build_certificate(
                 and (cols["f"][right] > cols["y1"][right]).all()
             ),
             "kappa_positive": bool((cols["kappa"] > 0).all()),
-            "a3_small": bool((np.abs(cols["a3_residual"]) <= a3_tol).all()),
+            "a3_small": bool((np.abs(cols["a3_residual"]) <= _A3_TOL).all()),
         }
     else:
         verdict = {k: False for k in
@@ -410,8 +408,8 @@ def build_certificate(
     }
     return Certificate(
         solution=sol,
-        epsilon=float(epsilon),
-        offset=float(offset),
+        epsilon=epsilon,
+        offset=offset,
         grid=grid,
         verdict=verdict,
         diagnostics=diagnostics,
@@ -473,7 +471,7 @@ def kappa_check(cert: Certificate) -> dict:
     k = kap(stencil.ravel()).reshape(stencil.shape)
     fdv = (-k[0] + 8.0 * k[1] - 8.0 * k[2] + k[3]) / (12.0 * h)
     tv, _ = _drift(sol, t)
-    cl = _kappa_dot_xt(p, n, lam, X_of(sol, t), tv)
+    cl = _kappa_dot_xt(p, n, lam, cert.grid["X"][keep], tv)
     max_rel = float(np.max(np.abs(fdv - cl) / np.maximum(1.0, np.abs(cl))))
 
     return {

@@ -61,12 +61,13 @@ class PParams:
     must be a positive finite float.
 
     n_dim may be any real >= 1 (the comparison argument allows
-    replacing the integer dimension by a real n' >= n).
+    replacing the integer dimension by a real n' >= n).  lam defaults
+    to p - 1, where alpha = 1.
     """
 
     p: float
     n_dim: float
-    lam: float
+    lam: float | None = None
     alpha: float = field(init=False)
 
     def __post_init__(self):
@@ -76,7 +77,7 @@ class PParams:
         if not math.isfinite(n) or n < 1.0:
             raise ValueError(f"n_dim must be a finite real >= 1, got {self.n_dim!r}")
         object.__setattr__(self, "n_dim", n)
-        lam = float(self.lam)
+        lam = pv - 1.0 if self.lam is None else float(self.lam)
         if not math.isfinite(lam) or lam <= 0.0:
             raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)

@@ -564,8 +564,7 @@ def solve_eigen_shooting(domain: Domain1D, p: float) -> EigenResult:
         raise ValueError("shooting backend requires a radial domain")
     if not (p > 1.0 and np.isfinite(p)):
         raise ValueError("p must be finite and exceed 1")
-    prob = ModelProblem(PParams(p=p, n_dim=domain.n_weight, lam=p - 1.0), a=0.0)
-    sol = solve_model(prob)
+    sol = solve_model(ModelProblem(PParams(p=p, n_dim=domain.n_weight), a=0.0))
     b1 = sol.b
     R = domain.length
     lam = (p - 1.0) * (b1 / R) ** p

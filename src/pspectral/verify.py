@@ -93,7 +93,8 @@ class Cache:
     seed is the run's seed.  Each artifact is computed once, on first
     request, and kept under its key:
 
-    - model(p, n, a, lam): solve_model, lam defaulting to p - 1;
+    - model(p, n, a, lam): solve_model, keyed on the ModelProblem
+      (so on lam as PParams resolves it, p - 1 by default);
     - certificate(p, n, a): the certificate of the lam = p - 1 model;
     - eig(solver, kind, p, N, n): solver on the kind's one domain
       (_DOMAINS) with N nodes and, for radial, weight n;
@@ -111,20 +112,15 @@ class Cache:
         self._eigs = {}
 
     def model(self, p: float, n: float, a: float, lam: float | None = None):
-        lam = p - 1.0 if lam is None else lam
-        key = (p, n, a, lam)
-        if key not in self._models:
-            prob = ModelProblem(PParams(p=p, n_dim=n, lam=lam), a=a)
-            self._models[key] = solve_model(prob)
-        return self._models[key]
+        prob = ModelProblem(PParams(p=p, n_dim=n, lam=lam), a=a)
+        if prob not in self._models:
+            self._models[prob] = solve_model(prob)
+        return self._models[prob]
 
     def certificate(self, p: float, n: float, a: float):
         key = (p, n, a)
         if key not in self._certs:
-            sol = self.model(p, n, a)
-            self._certs[key] = build_certificate(
-                sol, epsilon=1e-3 * sol.delta, offset=1e-6, a3_tol=1e-6
-            )
+            self._certs[key] = build_certificate(self.model(p, n, a))
         return self._certs[key]
 
     def eig(self, solver, kind: str, p: float, N: int,

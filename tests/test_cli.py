@@ -162,12 +162,29 @@ def test_certify_passes_and_writes_grid(capsys, tmp_path):
 
 
 def test_certify_verdict_failure_exit_code(capsys):
-    # an absurdly tight residual tolerance forces a3_small to fail
-    code, out, _ = run_cli(capsys, "certify", "--p", "3", "--n", "2",
-                           "--a", "1", "--a3-tol", "1e-30")
+    # (6, 3, 1) is a known ordering failure (tests/test_comparison.py)
+    code, out, _ = run_cli(capsys, "certify", "--p", "6", "--n", "3",
+                           "--a", "1")
     assert code == 1
     doc = json.loads(out)
-    assert doc["verdict"]["a3_small"] is False
+    assert doc["verdict"]["ordering"] is False
+    assert doc["all_ok"] is False
+
+
+def test_certify_prints_the_certificate_verify_builds(capsys, tmp_path):
+    # one setting: at lam = p - 1 the CLI and verify build one certificate
+    grid = tmp_path / "grid.csv"
+    code, out, _ = run_cli(capsys, "certify", "--p", "3", "--n", "2",
+                           "--a", "1", "--grid-out", str(grid))
+    assert code == 0
+    doc = json.loads(out)
+    cert = verify.Cache().certificate(3.0, 2.0, 1.0)
+    assert (doc["offset"], doc["epsilon"]) == (cert.offset, cert.epsilon)
+    assert doc["offset"] == 1e-06
+    assert doc["verdict"] == cert.verdict
+    header, rows = parse_csv(grid.read_text())
+    for j, col in enumerate(header):
+        assert [float(r[j]) for r in rows] == cert.grid[col].tolist(), col
 
 
 def test_certify_uses_certificate_grade_step(capsys):
@@ -291,10 +308,15 @@ def test_eigensolve_shooting_radial(capsys):
 
 
 def test_eigensolve_missing_domain_flags(capsys):
-    code, _, err = run_cli(capsys, "eigensolve", "--kind", "radial",
-                           "--N", "100", "--p", "2")
-    assert code == 2
-    assert "--R" in err
+    # build_domain names the missing value
+    for extra, named in [(["--kind", "radial"], "outer radius R"),
+                         (["--kind", "radial", "--R", "1"], "dimension n"),
+                         (["--kind", "circle"], "circumference L")]:
+        code, out, err = run_cli(capsys, "eigensolve", "--N", "100",
+                                 "--p", "2", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert named in err, err
 
 
 @pytest.mark.parametrize("extra", [
@@ -476,15 +498,19 @@ def _affordable_phase_solve(p, n):
 @settings(max_examples=30, deadline=None)
 @given(p=st.one_of(st.floats(1.1, 8.0), finite),
        n=st.one_of(st.floats(1.0, 8.0), finite),
-       a=st.one_of(st.floats(0.0, 100.0), finite))
-def test_model_and_certify_finite_inputs_end_in_an_exit_code(p, n, a):
+       a=st.one_of(st.floats(0.0, 100.0), finite),
+       lam=st.one_of(st.none(), st.floats(0.1, 10.0), finite))
+def test_model_and_certify_finite_inputs_end_in_an_exit_code(p, n, a, lam):
     # n = 1e300 (the phase solve's first step overflowed), p near 1
     # (lam^(1/(p-1)) underflowed and kappa_check divided by zero) and a
     # subnormal a (a NaN first slope hung the solver) once escaped as
     # RuntimeWarnings, tracebacks or a hang.  A certificate that fails
-    # its verdicts exits 1 with the verdicts on stdout.
+    # its verdicts exits 1 with the verdicts on stdout.  Any lam reaches
+    # the offset 1e-6 alpha^2 at extreme scales alpha.
     assume(_affordable_phase_solve(p, n))
     common = ["--p", repr(p), "--n", repr(n), "--a", repr(a)]
+    if lam is not None:
+        common += ["--lambda", repr(lam)]
     for argv in (["model"] + common, ["certify"] + common):
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \

@@ -171,10 +171,6 @@ def test_certificate_parameter_sweep():
 def test_certificate_validation(ref_sol, free_sol):
     with pytest.raises(ValueError):
         build_certificate(free_sol)
-    with pytest.raises(ValueError):
-        build_certificate(ref_sol, epsilon=ref_sol.delta)
-    with pytest.raises(ValueError):
-        build_certificate(ref_sol, offset=-1.0)
     # the slopes divide by n-1: n = 1 is rejected before any integration
     line = solve_model(ModelProblem(PParams(2.0, 1, 1.0), 1.0))
     with pytest.raises(ValueError, match="n > 1"):
@@ -255,11 +251,34 @@ def test_reconstruct_psi(ref_cert):
     assert abs(prof.h[k] - (-f_mid / wd_mid)) < 1e-10 * max(1.0, abs(prof.h[k]))
 
 
-def test_reconstruct_psi_rejects_invalid(ref_sol):
-    bad = build_certificate(ref_sol, a3_tol=1e-30)
-    assert not bad.all_ok
+def test_reconstruct_psi_rejects_invalid(known_certs):
+    # (6, 3, 1) is a known ordering failure (see _KNOWN_FAILURES)
+    bad = known_certs[(6.0, 3.0, 1.0)]
+    assert not bad.verdict["ordering"] and not bad.all_ok
     with pytest.raises(ValueError):
         reconstruct_psi(bad)
+
+
+@pytest.mark.parametrize("p, n, a", [(2.0, 3.0, 1.0), (1.5, 2.0, 0.1)])
+def test_certificate_is_scale_covariant(known_certs, p, n, a):
+    # t -> alpha t maps the lam = p - 1 model at a onto the lam model at
+    # a / alpha and multiplies every slope by alpha^2, as the offset is
+    base = known_certs[(p, n, a)]
+    for lam in (1e-6, 1e-2, 1e2):
+        pp = PParams(p, n, lam)
+        cert = build_certificate(solve_model(ModelProblem(pp, a / pp.alpha)))
+        assert cert.offset == base.offset * pp.alpha**2
+        assert cert.verdict == base.verdict, (lam, cert.verdict)
+
+
+def test_certificate_refuses_an_offset_off_the_float_range(ref_sol):
+    # offset = 1e-6 alpha^2: alpha = (lam/(p-1))^(1/p) near 1e200 or
+    # 1e-200 takes it past the largest float or below the smallest
+    for lam in (1e300, 1e-300):
+        fake = copy.copy(ref_sol)
+        fake.problem = ModelProblem(PParams(1.5, 3, lam), 1.0)
+        with pytest.raises(ValueError, match="barrier offset"):
+            build_certificate(fake)
 
 
 def test_kappa_check_refuses_underflowing_kappa_t0(ref_cert, ref_sol):
@@ -307,8 +326,9 @@ def test_barrier_float_failure_is_a_failed_certificate(ref_sol, monkeypatch,
     assert cert.diagnostics["x_law_dev"] < 1e-7  # the backward side ran
 
 
-# The known certificate cases at verify's settings (epsilon = 1e-3 delta,
-# offset 1e-6, a3_tol 1e-6): the full grid and four cases off it.  Two
+# The known certificate cases at lam = p - 1, where the one setting
+# reads epsilon = 1e-3 delta, offset 1e-6 and a3 bound 1e-6 (verify and
+# the CLI both build them so): the full grid and four cases off it.  Two
 # more cases named with them, (1.5, 2, 0.1) and (3, 2, 10), lie on the
 # grid.  The failures at (6, 3, 1), (10, 4, 2) and (1.1, 2, 0.5) are
 # known and stay visible until their cause is settled.
