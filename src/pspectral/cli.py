@@ -392,7 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=float, default=None)
     sp.add_argument("--method", choices=("variational", "shooting"),
                     default="variational")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seeds the perturbation of the variational "
+                    "descent's start; the descent runs on circles and "
+                    "where Newton (segment, radial) fails, so elsewhere "
+                    "the seed changes nothing")
     sp.add_argument("--nodes-out", dest="nodes_out", default=None,
                     help="also write nodal values CSV here")
     _add_common(sp, default_format="json")

@@ -166,11 +166,16 @@ def a3_residual(sol: ModelSolution, t):
     noise-level R and is omitted; it is dominated by the retained one.
     The value returned is divided by the natural quadratic scale
     lam^2 + (n D + T v + lam w^(p-1))^2/(n-1) + D^2, so it is
-    dimensionless and directly comparable across problems.
+    dimensionless and directly comparable across problems.  Every term
+    scales like lam under t -> alpha t, so the quotient is formed from
+    their ratios to lam, whose squares cannot underflow or overflow
+    where lam^2 would.
 
     t may be a scalar (a float is returned) or an array.  The step at
-    each point is min(1e-5 * max(1, delta), (t-a)/3, (b-t)/3); the whole
-    stencil is one state evaluation.
+    each point is min(1e-5 * max(1/alpha, delta), (t-a)/3, (b-t)/3): in
+    the normalized time alpha t its floor is 1e-5 * max(1, alpha delta)
+    at every lam, so the residual is scale covariant.  The whole stencil
+    is one state evaluation.
     """
     _check_window(sol, t)
     p, n, lam = _pnl(sol)
@@ -178,8 +183,8 @@ def a3_residual(sol: ModelSolution, t):
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     t = np.atleast_1d(arr)
-    h = np.minimum(1e-5 * max(1.0, sol.delta),
-                   np.minimum((t - a) / 3.0, (b - t) / 3.0))
+    floor = 1e-5 * max(1.0 / sol.problem.params.alpha, sol.delta)
+    h = np.minimum(floor, np.minimum((t - a) / 3.0, (b - t) / 3.0))
     if np.any(h <= 0.0):
         raise ValueError("t too close to the window boundary")
 
@@ -192,11 +197,12 @@ def a3_residual(sol: ModelSolution, t):
     v = v[2]
     tv, _ = _drift(sol, t)
     wp = spow(w, p - 1.0)
-    r = d - tv * v + lam * wp
-    other = n * d + tv * v + lam * wp
-    a3 = r * other / (n - 1.0)
-    scale = lam * lam + other * other / (n - 1.0) + d * d
-    out = a3 / scale
+    # r, other and d over lam
+    d = d / lam
+    tvv = tv * v / lam
+    r = d - tvv + wp
+    other = n * d + tvv + wp
+    out = (r * other / (n - 1.0)) / (1.0 + other * other / (n - 1.0) + d * d)
     return as_scalar_or_array(out[0] if scalar else out, scalar)
 
 
@@ -246,10 +252,13 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     slopes need X, so the pair (X, f) is integrated together from
     (0, f(t0)), X by its trajectory law (_x_rate) with T = -(n-1)/t in
     closed form: one right-hand side in plain floats, DOP853 at rtol
-    1e-12 and atol 1e-13 with dense output.  The grid's X column comes
-    from the phase solution, evaluated once for the whole grid;
-    diagnostics['x_law_dev'] is the largest gap between the two on the
-    grid, relative to max(1, |X|).
+    1e-12 and atol 1e-13 with dense output.  The pair runs in the
+    normalized time alpha t, with atol and the blow-up level |f| = 1e8
+    scaled as t -> alpha t scales X and f, so every lam integrates as
+    lam = p - 1 does (where alpha = 1 and nothing is scaled).  The
+    grid's X column comes from the phase solution, evaluated once for
+    the whole grid; diagnostics['x_law_dev'] is the largest gap between
+    the two on the grid, relative to max(1, |X|).
 
     There is one setting: epsilon = 1e-3 * delta, offset = 1e-6 *
     alpha^2 with alpha = PParams.alpha, and a3_small bounds |a3| by
@@ -288,18 +297,25 @@ def build_certificate(sol: ModelSolution) -> Certificate:
 
     lo, hi = a + epsilon, b - epsilon
     f0 = p / (p - 1.0) * float(_drift(sol, t0)[0])
-    big = 1e8
+    # the pair runs in the normalized time tau = alpha t, where t ->
+    # alpha t scales f by alpha and X by alpha^(1/(p-1)); the tolerances
+    # and the blow-up level follow those scales, so the integration is
+    # the lam = p - 1 one (alpha = 1) at every lam
+    atol = np.maximum(1e-13 * np.array([alpha ** (1.0 / (p - 1.0)), alpha]),
+                      5e-324)
+    big = 1e8 * alpha
     calls = [0]
 
-    def rhs(t, y):
+    def rhs(tau, y):
         calls[0] += 1
         x, s = y.tolist()
-        tv = -(n - 1.0) / float(t)  # solve_ivp passes numpy scalars
+        # solve_ivp passes numpy scalars
+        tv = -(n - 1.0) / (float(tau) / alpha)
         e, be = _slopes(p, n, s, tv, math.copysign(abs(x) ** (p - 1.0), x))
         xd = _x_rate(p, lam1, x, tv)
         if not (math.isfinite(xd) and math.isfinite(e) and math.isfinite(be)):
             raise OverflowError("barrier state left the float range")
-        return xd, min(e, be) - offset
+        return xd / alpha, (min(e, be) - offset) / alpha
 
     def blow(t, y):
         return abs(y[1]) - big
@@ -310,8 +326,9 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     for end in (hi, lo):
         before = calls[0]
         try:
-            side = solve_ivp(rhs, (t0, end), (0.0, f0), method="DOP853",
-                             rtol=1e-12, atol=1e-13, dense_output=True,
+            side = solve_ivp(rhs, (alpha * t0, alpha * end), (0.0, f0),
+                             method="DOP853",
+                             rtol=1e-12, atol=atol, dense_output=True,
                              events=[blow])
         except (OverflowError, FloatingPointError):
             side = None
@@ -325,14 +342,15 @@ def build_certificate(sol: ModelSolution) -> Certificate:
         """Rows (X, f) of the integrated pair at the 1-D times t; NaN
         off the integrated part."""
         out = np.full((2, t.size), math.nan)
+        tau = alpha * t
         if sol_f is not None:
-            fwd = (t >= t0) & (t <= sol_f.t[-1])
+            fwd = (t >= t0) & (tau <= sol_f.t[-1])
             if fwd.any():
-                out[:, fwd] = sol_f.sol(t[fwd])
+                out[:, fwd] = sol_f.sol(tau[fwd])
         if sol_b is not None:
-            bwd = (t < t0) & (t >= sol_b.t[-1])
+            bwd = (t < t0) & (tau >= sol_b.t[-1])
             if bwd.any():
-                out[:, bwd] = sol_b.sol(t[bwd])
+                out[:, bwd] = sol_b.sol(tau[bwd])
         return out
 
     def f_eval(t):
@@ -389,7 +407,7 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     fd_dev = 0.0
     if finite_f:
         tq = np.linspace(t0 + 0.1 * (hi - t0), hi - 0.1 * (hi - t0), 7)
-        hstep = 1e-6 * max(1.0, delta)
+        hstep = 1e-6 * max(1.0 / alpha, delta)
         d1 = (f_eval(tq + hstep) - f_eval(tq - hstep)) / (2.0 * hstep)
         e, be = eta_beta(f_eval(tq), tq, sol)
         fd_dev = float(np.max(np.abs(d1 - (np.minimum(e, be) - offset))))

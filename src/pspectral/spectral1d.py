@@ -6,11 +6,21 @@ radial ball model on [0, R] with measure weight t^(n-1) (trapezoid).
 
 The first nontrivial eigenvalue of the p-Laplacian is computed two ways:
 
-* solve_eigen_variational: minimizes the discrete Rayleigh quotient
-  sum(cell_w |Du|^p) / sum(w |u|^p) over the zero-p-mean constraint set
-  by projected, weight-preconditioned, normalized subgradient descent
-  with backtracking line search, warm-started through a coarse-to-fine
-  mesh hierarchy; the projection finds the p-mean shift by a
+* solve_eigen_variational: the minimizer of the discrete Rayleigh
+  quotient sum(cell_w |Du|^p) / sum(w |u|^p) over the zero-p-mean
+  constraint set.  On segments and radial domains it is a root of the
+  bordered system F = D^T(cell_w spow(Du, p-1)) - lam w spow(u, p-1),
+  sum(w |u|^p) = 1 in (u, lam), found by damped Newton with sparse
+  solves (Keller's bordering), started at p = 2 and continued in
+  log(p - 1) to the target p (Allgower & Georg); this path uses no
+  random numbers.  The circle, whose discrete problem has one critical
+  point per mesh phase, and every case where Newton fails (p near 1, a
+  floating-point error, a singular Jacobian, a spent step budget, or
+  other than one sign change) run the descent: projected,
+  weight-preconditioned, normalized subgradient descent with
+  backtracking line search, warm-started through a coarse-to-fine mesh
+  hierarchy from a seeded perturbation of a sin_p guess, with level
+  iteration caps; the projection finds the p-mean shift by a
   safeguarded Newton iteration.  Each mesh level runs in one _Level
   workspace, which holds the level's constants and every array an
   iteration writes, and whose iterates equal those of the frozen
@@ -28,9 +38,12 @@ closed-form lower bounds for the gap.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from ._util import guarded, spow
 from .model1d import ModelProblem, ModelSolution, PParams, solve_model
@@ -151,7 +164,9 @@ class EigenResult:
 @dataclass(frozen=True)
 class SolverOptions:
     """Options for the variational backend: seed fixes the random
-    perturbation of the start vector."""
+    perturbation of the descent's start vector.  Newton, which solves
+    segment and radial domains unless it fails, takes no random start,
+    so there the seed does nothing."""
 
     seed: int = 0
 
@@ -166,6 +181,22 @@ _STALL_WINDOW = 50
 _LEVEL_CAPS = (10_000, 5_000, 6_000)
 _COARSEST = 33
 _STEP0 = 1.0
+
+# Newton on the bordered system (segment and radial domains).  A stage
+# ends when its scaled residual is below _NEWTON_TOL, or below
+# _NEWTON_FLOOR when no damped step reduces it any more; damping halves
+# the step down to _MIN_DAMPING.  The continuation in log(p - 1) starts
+# with step _DS0 and gives up below _MIN_DS or past _NEWTON_BUDGET steps
+# in all.  Below _NEWTON_P_MIN it does not reach its target.
+_JAC_EPS = 1e-8
+_NEWTON_TOL = 1e-12
+_NEWTON_FLOOR = 1e-8
+_MIN_DAMPING = 1e-4
+_STAGE_STEPS = 30
+_NEWTON_BUDGET = 400
+_DS0 = 0.5
+_MIN_DS = 1e-3
+_NEWTON_P_MIN = 1.25
 
 
 @guarded
@@ -512,19 +543,218 @@ def _finalize(dom: Domain1D, v: np.ndarray, p: float, lam: float,
     )
 
 
+class _NewtonFailure(Exception):
+    """Newton on the bordered system gave up; the message says why and
+    steps counts the Newton steps it took."""
+
+    def __init__(self, reason: str, steps: int = 0):
+        super().__init__(reason)
+        self.steps = steps
+
+
+class _Bordered:
+    """The bordered eigen-system of one segment or radial domain.
+
+    Unknowns (u, lam), equations
+
+        F = D^T (cw spow(Du, p-1)) - lam w spow(u, p-1) = 0,
+        G = sum(w |u|^p) - 1 = 0,
+
+    with D the forward difference.  F's rows sum to -lam sum(w spow(u,
+    p-1)), because D maps constants to 0, so a root has zero p-mean
+    without a row of its own.  The Jacobian is tridiagonal plus the
+    border column -w spow(u, p-1) and the border row p w spow(u, p-1).
+    Only the Jacobian regularizes |x|^(p-2), as (x^2 + eps^2)^((p-2)/2)
+    with eps = _JAC_EPS; F and G keep the exact signed powers.
+    """
+
+    def __init__(self, dom: Domain1D):
+        self.dom, self.w, self.cw = dom, dom.weights, dom.cell_weights
+        N = dom.N
+        c, i, b = np.arange(N - 1), np.arange(N), np.full(N, N)
+        # cell c couples nodes c and c+1; duplicates sum in the csc build
+        self.rows = np.concatenate([c, c, c + 1, c + 1, i, i, b])
+        self.cols = np.concatenate([c, c + 1, c, c + 1, i, b, i])
+        self.shape = (N + 1, N + 1)
+
+    def residual(self, u: np.ndarray, lam: float, p: float):
+        """(F, G, size), size = max(|F|_1 / (|lam| sum(w |u|^(p-1))),
+        |G|)."""
+        wu = self.w * spow(u, p - 1.0)
+        F = self.dom.diff_adjoint(self.cw * spow(self.dom.diff(u), p - 1.0))
+        F -= lam * wu
+        G = float(np.dot(self.w, np.abs(u) ** p)) - 1.0
+        scale = abs(lam) * float(np.abs(wu).sum())
+        size = float(np.abs(F).sum()) / scale if scale > 0.0 else math.inf
+        return F, G, max(size, abs(G))
+
+    def newton_step(self, u: np.ndarray, lam: float, p: float, F, G):
+        """The Newton step (du, dlam) of (F, G) at (u, lam).
+
+        The border row is scaled by the power of two that puts it 2^-50
+        below the cell couplings, so partial pivoting never picks it.  A
+        pivot there fills the factors where u's block is near singular:
+        150k-350k entries on radial domains at N = 2000, against 14k.
+        The natural column order keeps the border last."""
+        du = self.dom.diff(u)
+        a, e2 = 0.5 * p - 1.0, _JAC_EPS ** 2
+        k = self.cw * (p - 1.0) * (du * du + e2) ** a / self.dom.spacing ** 2
+        diag = -lam * (p - 1.0) * self.w * (u * u + e2) ** a
+        wu = self.w * spow(u, p - 1.0)
+        scale = math.ldexp(1.0, math.frexp(float(k.max()))[1]
+                           - math.frexp(float(np.abs(wu).max()))[1] - 50)
+        data = np.concatenate([k, -k, -k, k, diag, -wu, (scale * p) * wu])
+        J = sparse.csc_matrix((data, (self.rows, self.cols)), shape=self.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            try:
+                d = spsolve(J, -np.append(F, scale * G), permc_spec="NATURAL")
+            except (MatrixRankWarning, RuntimeError) as exc:
+                raise _NewtonFailure(f"singular Jacobian ({exc})") from None
+        if not np.all(np.isfinite(d)):
+            raise _NewtonFailure("non-finite Newton step")
+        return d[:-1], float(d[-1])
+
+    def stage(self, u: np.ndarray, lam: float, p: float):
+        """Damped Newton at one p from (u, lam): each step is halved until
+        it reduces the residual's size.  Returns (u, lam, steps) once the
+        size is below _NEWTON_TOL, or below _NEWTON_FLOOR where a step no
+        longer halves it; raises _NewtonFailure."""
+        F, G, size = self.residual(u, lam, p)
+        for steps in range(1, _STAGE_STEPS + 1):
+            try:
+                du, dlam = self.newton_step(u, lam, p, F, G)
+            except _NewtonFailure as exc:
+                exc.steps = steps
+                raise
+            t = 1.0
+            while True:
+                u2, lam2 = u + t * du, lam + t * dlam
+                F2, G2, size2 = self.residual(u2, lam2, p)
+                if size2 < size or size <= _NEWTON_FLOOR or t < _MIN_DAMPING:
+                    break
+                t *= 0.5
+            if not size2 < size:
+                if size <= _NEWTON_FLOOR:
+                    return u, lam, steps
+                raise _NewtonFailure(f"no decrease from residual {size:.3e}",
+                                     steps)
+            stalled = size2 > 0.5 * size
+            u, lam, F, G, size = u2, lam2, F2, G2, size2
+            if size <= _NEWTON_TOL or (stalled and size <= _NEWTON_FLOOR):
+                return u, lam, steps
+        raise _NewtonFailure(f"residual {size:.3e} after {_STAGE_STEPS} steps",
+                             _STAGE_STEPS)
+
+
+def _sign_changes(u: np.ndarray) -> int:
+    s = np.sign(u)
+    s = s[s != 0.0]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def _newton_continuation(dom: Domain1D, p: float):
+    """Newton on the bordered system, from p = 2 along log(p - 1) to p.
+
+    The start at p = 2 is the sin guess shifted to zero weighted mean;
+    from the unshifted guess no damped step reduces the residual on
+    radial n = 3 and 5, whose constant mode it overlaps.
+    Each stage starts from the last accepted u scaled to unit weighted
+    p-norm at its p, with lam its Rayleigh quotient.  A stage that fails,
+    or whose u has other than one sign change, halves the step in
+    log(p - 1); one that converges within four steps doubles it.
+    Returns (u, lam, steps, stages), stages one dict per stage tried
+    (N, p, iterations, rq, stopped_by).  Raises _NewtonFailure when the
+    p = 2 stage fails, the step falls below _MIN_DS or the steps exceed
+    _NEWTON_BUDGET, and lets FloatingPointError through.
+    """
+    system = _Bordered(dom)
+    w = dom.weights
+    u = -np.cos(np.pi * (dom.nodes - dom.nodes[0]) / dom.length)
+    u -= np.dot(w, u) / w.sum()
+    stages, total = [], 0
+
+    def run(u, pk):
+        """One stage at pk; returns (u, lam), u None if it failed."""
+        nonlocal total
+        u = u / float(np.dot(w, np.abs(u) ** pk)) ** (1.0 / pk)
+        lam = float(np.dot(dom.cell_weights, np.abs(dom.diff(u)) ** pk))
+        try:
+            u, lam, steps = system.stage(u, lam, pk)
+            stop = "residual"
+            if _sign_changes(u) != 1 or not lam > 0.0:
+                u, stop = None, "sign_changes"
+        except _NewtonFailure as exc:
+            u, steps, stop = None, exc.steps, str(exc)
+        total += steps
+        stages.append({"N": dom.N, "p": pk, "iterations": steps,
+                       "rq": lam, "stopped_by": stop})
+        if total > _NEWTON_BUDGET:
+            raise _NewtonFailure(f"step budget {_NEWTON_BUDGET} spent")
+        return u, lam
+
+    u, lam = run(u, 2.0)
+    if u is None:
+        raise _NewtonFailure(f"{stages[-1]['stopped_by']} at p = 2")
+    s, target = 0.0, math.log(p - 1.0)
+    ds = math.copysign(_DS0, target)
+    while s != target:
+        s_next = target if abs(target - s) <= abs(ds) else s + ds
+        pk = p if s_next == target else 1.0 + math.exp(s_next)
+        u_next, lam_next = run(u, pk)
+        if u_next is None:
+            ds *= 0.5
+            if abs(ds) < _MIN_DS:
+                raise _NewtonFailure(f"continuation stalled at p = {pk!r}")
+            continue
+        u, lam, s = u_next, lam_next, s_next
+        if stages[-1]["iterations"] <= 4:
+            ds *= 2.0
+    return u, lam, total, stages
+
+
 @guarded
 def solve_eigen_variational(domain: Domain1D, p: float,
                             opts: SolverOptions | None = None) -> EigenResult:
-    """Minimize the Rayleigh quotient over the zero-p-mean set.
+    """The discrete minimizer of the Rayleigh quotient over the
+    zero-p-mean set, and its eigenvalue.
 
-    converged is False when any level of the hierarchy stopped at its
-    iteration cap; diagnostics["levels"] records each level's stop.
-    Floating-point overflow (say, differences on a 1e-300 mesh) raises
-    ValueError.
+    Segment and radial domains take damped Newton on the bordered
+    system (u, lam) (_Bordered), started at p = 2 and continued in
+    log(p - 1) to p; it uses no seed.  converged is True there, and
+    diagnostics["levels"] holds one entry per continuation stage
+    (N, p, iterations as Newton steps, rq as its lam, stopped_by).
+    The coarse-to-fine descent runs on the circle, whose discrete
+    problem has one critical point per mesh phase, and wherever Newton
+    fails: p below _NEWTON_P_MIN, a non-finite value or floating-point
+    error, a singular Jacobian, a stage or step budget spent, or not
+    exactly one sign change.  diagnostics["newton_failure"] then says
+    why.  The descent's converged is False when any level of its
+    hierarchy stopped at its iteration cap, and its levels are the mesh
+    levels.  diagnostics["solver"] is "newton" or "descent".
+    Floating-point overflow in the descent (say, differences on a
+    1e-300 mesh) raises ValueError.
     """
     if not (p > 1.0 and np.isfinite(p)):
         raise ValueError("p must be finite and exceed 1")
     opts = opts or SolverOptions()
+    failure = None
+    if domain.kind != "circle":
+        try:
+            if p < _NEWTON_P_MIN:
+                raise _NewtonFailure(f"p below {_NEWTON_P_MIN}")
+            u, lam, steps, stages = _newton_continuation(domain, p)
+        except (_NewtonFailure, FloatingPointError, OverflowError) as exc:
+            failure = str(exc) or type(exc).__name__
+        else:
+            return _finalize(domain, u, p, lam, "variational", steps, True,
+                             {"levels": stages, "solver": "newton",
+                              "options": opts})
+    return _descent(domain, p, opts, failure)
+
+
+def _descent(domain: Domain1D, p: float, opts: SolverOptions,
+             failure: str | None) -> EigenResult:
     rng = np.random.default_rng(opts.seed)
     chain = _coarse_chain(domain.N, _COARSEST)
     level_info = []
@@ -550,8 +780,11 @@ def solve_eigen_variational(domain: Domain1D, p: float,
                            "stopped_by": stopped})
         prev = dom
     converged = all(lv["stopped_by"] != "cap" for lv in level_info)
+    diagnostics = {"levels": level_info, "solver": "descent", "options": opts}
+    if failure is not None:
+        diagnostics["newton_failure"] = failure
     return _finalize(domain, v, p, lam, "variational", total, converged,
-                     {"levels": level_info, "options": opts})
+                     diagnostics)
 
 
 @guarded

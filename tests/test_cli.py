@@ -333,8 +333,10 @@ def test_eigensolve_missing_domain_flags(capsys):
 def test_eigensolve_overflow_is_clean(extra):
     # p = 200: |grad|^2 overflowed, the normalized gradient was 0 and the
     # level stopped on step collapse after one iteration with lambda
-    # 8.77e223; on a 1e-300 domain the differences overflowed and the
-    # run ended on "identically zero"; both printed RuntimeWarnings.
+    # 8.77e223, where the discrete minimum is 2.41e61, below the
+    # continuum value (p-1) pi_p^p = 3.22e62 of the unit segment; on a
+    # 1e-300 domain the differences overflowed and the run ended on
+    # "identically zero"; both printed RuntimeWarnings.
     # Shooting on a tiny radius overflowed the Python float (b1/R)^p and
     # printed a traceback; at R = 2.2e-264 the rescale fits but the
     # differences of the sampled profile overflowed (a RuntimeWarning).
@@ -343,7 +345,9 @@ def test_eigensolve_overflow_is_clean(extra):
     if code == 0:
         assert err == ""
         doc = json.loads(out)
-        assert math.isfinite(doc["lambda"]) and doc["iterations"] > 16
+        p = doc["p"]
+        assert doc["converged"]
+        assert 0.0 < doc["lambda"] <= (p - 1.0) * pspectral.pi_p(p) ** p
     else:
         assert code == 2 and err.count("\n") == 1, err
         assert "floating-point failure" in err, err

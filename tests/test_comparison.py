@@ -262,11 +262,20 @@ def test_reconstruct_psi_rejects_invalid(known_certs):
 @pytest.mark.parametrize("p, n, a", [(2.0, 3.0, 1.0), (1.5, 2.0, 0.1)])
 def test_certificate_is_scale_covariant(known_certs, p, n, a):
     # t -> alpha t maps the lam = p - 1 model at a onto the lam model at
-    # a / alpha and multiplies every slope by alpha^2, as the offset is
+    # a / alpha and multiplies every slope by alpha^2, as the offset is.
+    # At lam = 1e8 a step floor fixed in t failed a3_small; at 1e-200 the
+    # residual's normalizer lam^2 underflowed to 0, and the barrier's
+    # tolerances, fixed in t and f, let ordering fail.  At p = 1.5,
+    # lam = 1e-200 the law's rate lam^2 underflows: a clean refusal
     base = known_certs[(p, n, a)]
-    for lam in (1e-6, 1e-2, 1e2):
+    for lam in (1e-200, 1e-6, 1e-2, 1e2, 1e8):
         pp = PParams(p, n, lam)
-        cert = build_certificate(solve_model(ModelProblem(pp, a / pp.alpha)))
+        sol = solve_model(ModelProblem(pp, a / pp.alpha))
+        if lam ** (1.0 / (p - 1.0)) == 0.0:
+            with pytest.raises(ValueError, match="underflows to 0"):
+                build_certificate(sol)
+            continue
+        cert = build_certificate(sol)
         assert cert.offset == base.offset * pp.alpha**2
         assert cert.verdict == base.verdict, (lam, cert.verdict)
 

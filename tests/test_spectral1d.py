@@ -5,6 +5,10 @@ Oracles:
 * the exact scale covariance of the radial problem, lam(R) =
   (p-1) (b1/R)^p, which makes the shooting backend self-checking;
 * cross-backend agreement (variational vs shooting) on radial domains;
+* at p = 2, the dense generalized eigenproblem of the discrete pencil
+  (scipy.linalg.eig), against which Newton's eigenvalue is checked, and
+  at other p the descent, which approaches the discrete minimum from
+  above;
 * closed-form bound values evaluated by hand at p = 2, d = pi;
 * an mpmath bisection for the p-mean shift (tests/oracles.py);
 * a frozen copy of the per-level descent in its original arithmetic
@@ -18,6 +22,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eig
+from scipy.sparse.linalg import MatrixRankWarning
 
 from pspectral import (
     INFINITY,
@@ -366,19 +372,99 @@ def test_variational_seed_determinism():
 
 
 def test_variational_converged_counts_every_level(monkeypatch):
-    # the chain for N = 100 is [50, 100]; the coarse level stalls after
-    # ~6.5k steps, so a 6000 cap stops it while the warm-started finest
-    # level still stalls: converged must be False all the same
-    dom = build_domain("segment", 100, x0=0.0, x1=1.0)
-    monkeypatch.setattr(spectral1d, "_LEVEL_CAPS", (6000, 6000, 100_000))
-    res = solve_eigen_variational(dom, 1.5)
+    # the circle runs the descent; its chain for N = 100 is [50, 100].
+    # At p = 2.5 the coarse level stalls after ~3.8k steps, so a 3000 cap
+    # stops it while the warm-started finest level still stalls:
+    # converged must be False all the same
+    dom = build_domain("circle", 100, L=2.0)
+    monkeypatch.setattr(spectral1d, "_LEVEL_CAPS", (3000, 3000, 100_000))
+    res = solve_eigen_variational(dom, 2.5)
+    assert res.diagnostics["solver"] == "descent"
+    assert "newton_failure" not in res.diagnostics
     stops = [lv["stopped_by"] for lv in res.diagnostics["levels"]]
     assert stops == ["cap", "stall"]
     assert not res.converged
     monkeypatch.setattr(spectral1d, "_LEVEL_CAPS", (2, 2, 2))
-    res = solve_eigen_variational(dom, 1.5)
+    res = solve_eigen_variational(dom, 2.5)
     assert all(lv["stopped_by"] == "cap" for lv in res.diagnostics["levels"])
     assert not res.converged
+
+
+# ------------------------------------------------ Newton and its fallback
+
+def _pencil_lambda(dom):
+    """The smallest positive finite eigenvalue of the p = 2 pencil
+    D^T diag(cw) D u = lam diag(w) u, dense.  eig, not eigh: radial
+    weights vanish at t = 0 (n > 1), so diag(w) is singular there."""
+    D = (np.eye(dom.N, k=1) - np.eye(dom.N))[:-1] / dom.spacing
+    vals = eig(D.T @ np.diag(dom.cell_weights) @ D, np.diag(dom.weights),
+               right=False)
+    vals = vals[np.isfinite(vals)].real
+    return float(vals[vals > 1e-6].min())
+
+
+@pytest.mark.parametrize("kind, n, N", [
+    ("segment", None, 40), ("segment", None, 200), ("radial", 1.0, 200),
+    ("radial", 3.0, 40), ("radial", 3.0, 200)])
+def test_newton_p2_matches_the_dense_pencil(kind, n, N):
+    dom = build_domain(kind, N, x0=0.0, x1=1.0, R=1.0, n=n)
+    res = solve_eigen_variational(dom, 2.0)
+    assert res.diagnostics["solver"] == "newton" and res.converged
+    assert res.lam == pytest.approx(_pencil_lambda(dom), rel=1e-10)
+    assert spectral1d._sign_changes(res.u.values) == 1
+
+
+@pytest.mark.parametrize("kind, n", [("segment", None), ("radial", 1.0),
+                                     ("radial", 3.0), ("radial", 5.0)])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_newton_is_the_minimizer_the_descent_approaches(kind, n, p):
+    # the descent decreases the Rayleigh quotient from above, so the
+    # discrete minimizer lies at or below wherever it stops
+    dom = build_domain(kind, 300, x0=0.0, x1=1.0, R=1.0, n=n)
+    res = solve_eigen_variational(dom, p)
+    assert res.diagnostics["solver"] == "newton" and res.converged
+    assert spectral1d._sign_changes(res.u.values) == 1
+    assert rayleigh_quotient(res.u, p) == pytest.approx(res.lam, rel=1e-12)
+    descent = spectral1d._descent(dom, p, SolverOptions(), None)
+    assert res.lam <= descent.lam
+    assert res.lam == pytest.approx(descent.lam, rel=1e-3)
+    # continuation stages end at the target p, each on its residual
+    stages = res.diagnostics["levels"]
+    assert stages[0]["p"] == 2.0 and stages[-1]["p"] == p
+    assert all(set(st) >= {"N", "iterations", "rq", "stopped_by"}
+               for st in stages)
+    assert res.iterations == sum(st["iterations"] for st in stages)
+
+
+@pytest.mark.parametrize("kind, N, p, n, reason", [
+    ("segment", 16, 1.1, None, "p below"),
+    # above p = 40 the regularized cell terms (Du^2 + eps^2)^((p-2)/2)
+    # next to the center underflow to 0 and the Jacobian is singular
+    ("radial", 16, 200.0, 3.0, "continuation stalled"),
+])
+def test_newton_falls_back_to_the_descent(kind, N, p, n, reason):
+    dom = build_domain(kind, N, x0=0.0, x1=1.0, R=1.0, n=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_eigen_variational(dom, p)
+    assert res.diagnostics["solver"] == "descent"
+    assert reason in res.diagnostics["newton_failure"]
+    assert np.isfinite(res.lam) and res.lam > 0.0
+
+
+def test_singular_jacobian_falls_back_without_a_warning(monkeypatch):
+    def singular(*args, **kwargs):
+        warnings.warn("Matrix is exactly singular", MatrixRankWarning)
+        return np.full(args[0].shape[0], np.nan)
+
+    monkeypatch.setattr(spectral1d, "spsolve", singular)
+    dom = build_domain("segment", 64, x0=0.0, x1=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_eigen_variational(dom, 2.0)
+    assert res.diagnostics["solver"] == "descent"
+    assert "singular Jacobian" in res.diagnostics["newton_failure"]
+    assert res.lam == pytest.approx(np.pi**2, rel=1e-3)
 
 
 def test_variational_convergence_order():
