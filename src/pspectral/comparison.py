@@ -414,8 +414,8 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     seen = np.isfinite(x_law)
     x_law_dev = math.nan
     if seen.any():
-        x_law_dev = float(np.max(np.abs(x_law[seen] - x[seen])
-                                 / np.maximum(1.0, np.abs(x[seen]))))
+        x_law_dev = float(np.max(np.abs(x_law[seen] - x[seen]) / np.maximum(
+            alpha ** (1.0 / (p - 1.0)), np.abs(x[seen]))))
     diagnostics = {
         "f_blowup": bool(blew_up),
         "f_at_t0": f0,
@@ -472,25 +472,33 @@ def kappa_check(cert: Certificate) -> dict:
 
     ts = cert.grid["t"]
     kcol = cert.grid["kappa"]
-    off_t0 = np.abs(ts - t0) > 1e-9
+    d = np.abs(ts - t0)
+    # steps and floors in units of 1/alpha: in the normalized time alpha t
+    # they are the lam = p - 1 ones (alpha = 1) at every lam
+    alpha = sol.problem.params.alpha
+    off_t0 = d > 1e-9 / alpha
     kappa_min = float(np.min(kcol[off_t0]))
     k_at_t0 = float(kap(t0))
     rel_t0 = abs(k_at_t0 - k0) / k0
 
-    d = np.abs(ts - t0)
-    h = np.minimum(1e-4 * max(1.0, delta), 5e-3 * np.minimum(ts - a, b - ts))
+    h = np.minimum(1e-4 * max(1.0 / alpha, delta),
+                   5e-3 * np.minimum(ts - a, b - ts))
     if p < 2.0:
-        h = np.where(d > 1e-9, np.minimum(h, np.maximum(1e-7, 1e-2 * d**1.5)), h)
+        h = np.where(off_t0, np.minimum(h, np.maximum(
+            1e-7 / alpha, 1e-2 * (alpha * d) ** 1.5 / alpha)), h)
     # higher derivatives of |X|^p blow up at X = 0: skip near t0 for p != 2
-    keep = ((ts - 2 * h > a + 1e-12) & (ts + 2 * h < b - 1e-12)
-            & ~((d < 1e-2 * delta) & (abs(p - 2.0) > 1e-12) & (d > 1e-9)))
+    edge = 1e-12 / alpha
+    keep = ((ts - 2 * h > a + edge) & (ts + 2 * h < b - edge)
+            & ~((d < 1e-2 * delta) & (abs(p - 2.0) > 1e-12) & off_t0))
     t, h = ts[keep], h[keep]
     stencil = np.stack([t + 2 * h, t + h, t - h, t - 2 * h])
     k = kap(stencil.ravel()).reshape(stencil.shape)
     fdv = (-k[0] + 8.0 * k[1] - 8.0 * k[2] + k[3]) / (12.0 * h)
     tv, _ = _drift(sol, t)
     cl = _kappa_dot_xt(p, n, lam, cert.grid["X"][keep], tv)
-    max_rel = float(np.max(np.abs(fdv - cl) / np.maximum(1.0, np.abs(cl))))
+    # kappa' scales like alpha^((2p-1)/(p-1)) under t -> alpha t
+    scale = alpha ** ((2.0 * p - 1.0) / (p - 1.0))
+    max_rel = float(np.max(np.abs(fdv - cl) / np.maximum(scale, np.abs(cl))))
 
     return {
         "kappa_min": kappa_min,

@@ -197,6 +197,8 @@ _NEWTON_BUDGET = 400
 _DS0 = 0.5
 _MIN_DS = 1e-3
 _NEWTON_P_MIN = 1.25
+# A variational result is converged only with residual at most this.
+_CONVERGED_RESIDUAL = 1e-8
 
 
 @guarded
@@ -530,6 +532,10 @@ def _finalize(dom: Domain1D, v: np.ndarray, p: float, lam: float,
     pnorm = float(np.dot(dom.weights, np.abs(v) ** p))
     rq = ws.rayleigh(v)
     residual = max(pmean / pnorm, abs(rq - lam) / max(abs(lam), 1e-300))
+    # a variational stopping rule proves nothing by itself: the result
+    # must also satisfy the discrete eigen-equation
+    if method == "variational":
+        converged = converged and residual <= _CONVERGED_RESIDUAL
     return EigenResult(
         lam=float(lam),
         u=u,
@@ -721,17 +727,18 @@ def solve_eigen_variational(domain: Domain1D, p: float,
 
     Segment and radial domains take damped Newton on the bordered
     system (u, lam) (_Bordered), started at p = 2 and continued in
-    log(p - 1) to p; it uses no seed.  converged is True there, and
-    diagnostics["levels"] holds one entry per continuation stage
-    (N, p, iterations as Newton steps, rq as its lam, stopped_by).
+    log(p - 1) to p; it uses no seed.  diagnostics["levels"] holds one
+    entry per continuation stage (N, p, iterations as Newton steps, rq
+    as its lam, stopped_by).
     The coarse-to-fine descent runs on the circle, whose discrete
     problem has one critical point per mesh phase, and wherever Newton
     fails: p below _NEWTON_P_MIN, a non-finite value or floating-point
     error, a singular Jacobian, a stage or step budget spent, or not
     exactly one sign change.  diagnostics["newton_failure"] then says
-    why.  The descent's converged is False when any level of its
-    hierarchy stopped at its iteration cap, and its levels are the mesh
-    levels.  diagnostics["solver"] is "newton" or "descent".
+    why.  Its levels are the mesh levels.  diagnostics["solver"] is
+    "newton" or "descent".  converged is False when the residual
+    exceeds _CONVERGED_RESIDUAL, on either path, or when a level of the
+    descent stopped at its iteration cap.
     Floating-point overflow in the descent (say, differences on a
     1e-300 mesh) raises ValueError.
     """

@@ -11,6 +11,21 @@ timestamps, fixed seeds) so that two runs with the same configuration
 emit byte-identical output.  scope="quick" uses reduced grids for a fast
 smoke pass; scope="full" runs the complete grids.
 
+Each criterion measures, and GATES judges.  GATES maps a criterion id
+to {detail key: (kind, bound)}: a "max" gate holds when the reported
+value is <= bound, a "min" gate when it is >= bound.  A criterion
+measures the worst case under each key and returns through _judge,
+which applies its gates, ANDs them with the criterion's structural
+checks (the strict window checks of 4, the monotone verdicts and the
+control of 12, the ordering of 13, the byte equality of 14) and
+formats the details.  The worst cases accumulate with np.maximum and
+np.minimum, which carry a NaN from any case forward to its gate, where
+it fails (nan <= bound is False).  The bounds the library owns are
+imported, not retyped: the gradient tolerance of
+spectral1d.gradient_comparison_check, the a3 bound of the certificate,
+and half its barrier offset (criterion 6's certificates are at
+lam = p - 1, where the offset is comparison._OFFSET itself).
+
 run_all makes one Cache per run.  It carries the run's seed and solves
 each model, certificate, eigenpair and matched profile at most once,
 however many criteria read it (see Cache for the keys).  Criteria pass
@@ -35,10 +50,11 @@ from .bochner import (
     pII_at,
     p_laplacian_at,
 )
-from .comparison import build_certificate, kappa_check
+from .comparison import _A3_TOL, _OFFSET, build_certificate, kappa_check
 from .model1d import INFINITY, ModelProblem, PParams, solve_model
 from .ptrig import pi_p, pi_p_quadrature, sin_cos_p
 from .spectral1d import (
+    _GRADIENT_TOL,
     E_profile,
     bounds_table,
     build_domain,
@@ -48,7 +64,7 @@ from .spectral1d import (
 )
 
 __all__ = ["CriterionResult", "Cache", "run_all", "format_report",
-           "CRITERIA", "DEFAULT_SEED"]
+           "CRITERIA", "DEFAULT_SEED", "GATES"]
 
 DEFAULT_SEED = 20260824
 
@@ -78,6 +94,38 @@ class CriterionResult:
 
 def _fmt(x: float) -> str:
     return f"{x:.3e}"
+
+
+GATES = {
+    1: {"max_rel": ("max", 1e-10), "pi2_abs": ("max", 1e-12)},
+    2: {"max_abs": ("max", 1e-9)},
+    3: {"max_rel": ("max", 5e-3), "segment_p2_rel": ("max", 1e-3)},
+    5: {"min_margin": ("min", -1e-8)},
+    6: {"min_slack": ("min", _OFFSET / 2.0), "kappa_t0_rel": ("max", 1e-8),
+        "kappa_rate_rel": ("max", 1e-4), "max_a3": ("max", _A3_TOL)},
+    7: {"max_rel": ("max", 1e-4), "max_rel_p2": ("max", 1e-6),
+        "min_order": ("min", 1.8)},
+    8: {"violations": ("max", 0)},
+    9: {"max_rel": ("max", 1e-6)},
+    10: {"worst_violation_over_h": ("max", _GRADIENT_TOL)},
+    11: {"max_rel": ("max", 5e-3)},
+    12: {"worst_spread_over_h": ("max", 10.0)},
+    13: {"max_ratio_rel": ("max", 1e-12)},
+}
+
+
+def _judge(cid: int, name: str, measured: dict, ok: bool,
+           **shown) -> CriterionResult:
+    """Criterion cid's result: passed when ok (its structural checks)
+    holds and every gate of GATES[cid] holds on its measured value.
+    The details are the measured values, floats in _fmt, then shown,
+    which may also give a measured value another printed form."""
+    for key, (kind, bound) in GATES.get(cid, {}).items():
+        value = measured[key]
+        ok = ok and bool(value <= bound if kind == "max" else value >= bound)
+    details = {k: _fmt(v) if isinstance(v, float) else v
+               for k, v in measured.items()}
+    return CriterionResult(cid, name, bool(ok), {**details, **shown})
 
 
 # the one domain of each kind that criteria 3 and 10-12 solve on
@@ -150,12 +198,9 @@ def criterion_1(scope: str, cache: Cache):
     worst = 0.0
     for p in (1.1, 1.5, 2.0, 3.0, 4.0, 10.0):
         closed = pi_p(p)
-        quad = pi_p_quadrature(p)
-        worst = max(worst, abs(closed - quad) / closed)
-    two = abs(pi_p(2.0) - np.pi)
-    passed = worst <= 1e-10 and two <= 1e-12
-    return CriterionResult(1, "half-period closed form vs quadrature", passed,
-                           {"max_rel": _fmt(worst), "pi2_abs": _fmt(two)})
+        worst = np.maximum(worst, abs(closed - pi_p_quadrature(p)) / closed)
+    return _judge(1, "half-period closed form vs quadrature",
+                  {"max_rel": worst, "pi2_abs": abs(pi_p(2.0) - np.pi)}, True)
 
 
 def criterion_2(scope: str, cache: Cache):
@@ -163,11 +208,10 @@ def criterion_2(scope: str, cache: Cache):
     for p in (1.2, 1.5, 2.0, 3.0, 10.0):
         x = np.linspace(-2.2 * pi_p(p), 2.2 * pi_p(p), 1000)
         s, c = sin_cos_p(x, p)
-        worst = max(worst, float(np.max(np.abs(
-            np.abs(s) ** p + np.abs(c) ** p - 1.0))))
-    passed = worst <= 1e-9
-    return CriterionResult(2, "p-trigonometric power identity", passed,
-                           {"max_abs": _fmt(worst)})
+        worst = np.maximum(worst, np.max(np.abs(
+            np.abs(s) ** p + np.abs(c) ** p - 1.0)))
+    return _judge(2, "p-trigonometric power identity", {"max_abs": worst},
+                  True)
 
 
 def criterion_3(scope: str, cache: Cache):
@@ -177,43 +221,30 @@ def criterion_3(scope: str, cache: Cache):
         cases = [(kind, p) for p in (1.5, 2.0, 3.0)
                  for kind in ("segment", "circle")]
     worst = 0.0
-    ok = True
     for kind, p in cases:
         res = cache.eig(solve_eigen_variational, kind, p, _EIG_N[scope])
-        rel = abs(res.lam / (p - 1.0) - pi_p(p) ** p) / pi_p(p) ** p
-        worst = max(worst, rel)
-        ok &= rel <= 5e-3
-        if kind == "segment" and p == 2.0:
-            tight = abs(res.lam - np.pi**2) / np.pi**2
-            ok &= tight <= 1e-3
+        worst = np.maximum(
+            worst, abs(res.lam / (p - 1.0) - pi_p(p) ** p) / pi_p(p) ** p)
     # both scopes solve the segment at p = 2, which sets tight
-    return CriterionResult(3, "equality-case eigenvalues on 1d domains", ok,
-                           {"max_rel": _fmt(worst), "n_cases": len(cases),
-                            "segment_p2_rel": _fmt(tight)})
+    res = cache.eig(solve_eigen_variational, "segment", 2.0, _EIG_N[scope])
+    tight = abs(res.lam - np.pi**2) / np.pi**2
+    return _judge(3, "equality-case eigenvalues on 1d domains",
+                  {"max_rel": worst, "segment_p2_rel": tight}, True,
+                  n_cases=len(cases))
 
 
 def criterion_4(scope: str, cache: Cache):
     pn, avals = _grids(scope)
-    ok = True
-    min_gap = np.inf
-    for p, n in pn:
-        gaps = {}
-        ms = {}
-        for a in avals:
-            sol = cache.model(p, n, a)
-            gap = sol.delta - pi_p(p)
-            gaps[a] = gap
-            ms[a] = sol.m_max
-            ok &= gap > 0.0
-            ok &= sol.m_max < 1.0
-            min_gap = min(min_gap, gap)
-        lo, hi = min(avals), max(avals)
-        ok &= gaps[hi] < gaps[lo]
-        ok &= (1.0 - ms[hi]) < (1.0 - ms[lo])
-    return CriterionResult(
-        4, "window exceeds half-period, shrinking with a", ok,
-        {"min_gap": _fmt(min_gap), "n_cases": len(pn) * len(avals)},
-    )
+    sols = {(p, n, a): cache.model(p, n, a) for p, n in pn for a in avals}
+    gaps = {key: sol.delta - pi_p(key[0]) for key, sol in sols.items()}
+    lo, hi = min(avals), max(avals)
+    ok = (all(gap > 0.0 for gap in gaps.values())
+          and all(sol.m_max < 1.0 for sol in sols.values())
+          and all(gaps[p, n, hi] < gaps[p, n, lo]
+                  and 1.0 - sols[p, n, hi].m_max < 1.0 - sols[p, n, lo].m_max
+                  for p, n in pn))
+    return _judge(4, "window exceeds half-period, shrinking with a",
+                  {"min_gap": min(gaps.values())}, ok, n_cases=len(sols))
 
 
 def criterion_5(scope: str, cache: Cache):
@@ -226,45 +257,28 @@ def criterion_5(scope: str, cache: Cache):
             lo = max(sol.a_eff, 1e-6)
             ts = np.linspace(lo, sol.b, 2000)
             rate = np.asarray(sol.phase_rate(ts))
-            worst = min(worst, float(np.min(rate - alpha / n)))
-    passed = worst >= -1e-8
-    return CriterionResult(5, "phase speed bounded below by alpha/n", passed,
-                           {"min_margin": _fmt(worst)})
+            worst = np.minimum(worst, np.min(rate - alpha / n))
+    return _judge(5, "phase speed bounded below by alpha/n",
+                  {"min_margin": worst}, True)
 
 
 def criterion_6(scope: str, cache: Cache):
     pn, avals = _grids(scope)
-    ok = True
+    certs = [cache.certificate(p, n, a) for p, n in pn for a in avals]
     min_slack = np.inf
-    worst_kt0 = 0.0
-    worst_kdot = 0.0
-    worst_a3 = 0.0
-    n_cases = 0
-    for p, n in pn:
-        for a in avals:
-            cert = cache.certificate(p, n, a)
-            n_cases += 1
-            g = cert.grid
-            min_slack = min(min_slack, float(np.min(g["slack1"])),
-                            float(np.min(g["slack2"])))
-            ok &= bool(cert.verdict["slacks_positive"])
-            ok &= bool(cert.verdict["ordering"])
-            ok &= bool(cert.verdict["kappa_positive"])
-            ok &= bool(cert.verdict["a3_small"])
-            ok &= min_slack >= cert.offset / 2.0
-            kk = kappa_check(cert)
-            worst_kt0 = max(worst_kt0, kk["kappa_t0_rel_err"])
-            worst_kdot = max(worst_kdot, kk["max_rel_deviation"])
-            ok &= kk["kappa_t0_rel_err"] <= 1e-8
-            ok &= kk["max_rel_deviation"] <= 1e-4
-            worst_a3 = max(worst_a3, float(np.max(np.abs(g["a3_residual"]))))
-    ok &= worst_a3 <= 1e-6
-    return CriterionResult(
-        6, "inequality certificate on the model grid", ok,
-        {"min_slack": _fmt(min_slack), "kappa_t0_rel": _fmt(worst_kt0),
-         "kappa_rate_rel": _fmt(worst_kdot), "max_a3": _fmt(worst_a3),
-         "n_cases": n_cases},
-    )
+    worst_kt0 = worst_kdot = worst_a3 = 0.0
+    for cert in certs:
+        g = cert.grid
+        min_slack = np.minimum(
+            min_slack, np.min(np.minimum(g["slack1"], g["slack2"])))
+        kk = kappa_check(cert)
+        worst_kt0 = np.maximum(worst_kt0, kk["kappa_t0_rel_err"])
+        worst_kdot = np.maximum(worst_kdot, kk["max_rel_deviation"])
+        worst_a3 = np.maximum(worst_a3, np.max(np.abs(g["a3_residual"])))
+    return _judge(6, "inequality certificate on the model grid",
+                  {"min_slack": min_slack, "kappa_t0_rel": worst_kt0,
+                   "kappa_rate_rel": worst_kdot, "max_a3": worst_a3},
+                  all(cert.all_ok for cert in certs), n_cases=len(certs))
 
 
 def criterion_7(scope: str, cache: Cache):
@@ -272,30 +286,25 @@ def criterion_7(scope: str, cache: Cache):
     names = list(cat) if scope == "full" else ["poly_2d_a", "poly_3d_b"]
     worst = 0.0
     worst2 = 0.0
-    ok = True
     for name in names:
         e = cat[name]
         for p in (1.5, 2.0, 3.0):
             r = abs(bochner_residual(e.field, e.point, p, step=5e-3))
             if p == 2.0:
-                worst2 = max(worst2, r)
-                ok &= r <= 1e-6
+                worst2 = np.maximum(worst2, r)
             else:
-                worst = max(worst, r)
-                ok &= r <= 1e-4
+                worst = np.maximum(worst, r)
     min_order = np.inf
     for name in ("poly_2d_a", "poly_3d_b"):
         e = cat[name]
         for p in (1.5, 3.0):
             r1 = abs(bochner_residual(e.field, e.point, p, step=2e-2))
             r2 = abs(bochner_residual(e.field, e.point, p, step=1e-2))
-            min_order = min(min_order, float(np.log2(r1 / r2)))
-    ok &= min_order >= 1.8
-    return CriterionResult(
-        7, "flat-space operator identity residuals", ok,
-        {"max_rel": _fmt(worst), "max_rel_p2": _fmt(worst2),
-         "min_order": f"{min_order:.2f}"},
-    )
+            min_order = np.minimum(min_order, np.log2(r1 / r2))
+    return _judge(7, "flat-space operator identity residuals",
+                  {"max_rel": worst, "max_rel_p2": worst2,
+                   "min_order": min_order}, True,
+                  min_order=f"{min_order:.2f}")
 
 
 def criterion_8(scope: str, cache: Cache):
@@ -326,10 +335,8 @@ def criterion_8(scope: str, cache: Cache):
         checked += 1
         if not okc:
             violations += 1
-    return CriterionResult(
-        8, "random-field matrix inequality sweep", violations == 0,
-        {"cases": checked, "violations": violations, "seed": seed},
-    )
+    return _judge(8, "random-field matrix inequality sweep",
+                  {"violations": violations}, True, cases=checked, seed=seed)
 
 
 def criterion_9(scope: str, cache: Cache):
@@ -351,10 +358,10 @@ def criterion_9(scope: str, cache: Cache):
             right = ((3.0 * u0**2 + 2.0)
                      * p_laplacian_at(u, e.point, p, step=5e-3)
                      + (p - 1.0) * (6.0 * u0) * gn**p)
-            worst = max(worst, abs(left - right) / max(1.0, abs(right)))
-    passed = worst <= 1e-6
-    return CriterionResult(9, "composition rule for the linearized operator",
-                           passed, {"max_rel": _fmt(worst)})
+            worst = np.maximum(worst,
+                               abs(left - right) / max(1.0, abs(right)))
+    return _judge(9, "composition rule for the linearized operator",
+                  {"max_rel": worst}, True)
 
 
 def criterion_10(scope: str, cache: Cache):
@@ -364,17 +371,14 @@ def criterion_10(scope: str, cache: Cache):
     ps = (1.5, 2.0, 3.0) if scope == "full" else (3.0,)
     cases = [cache.eig(solve_eigen_shooting, "radial", 2.0, N, n=3.0)]
     cases += [cache.eig(solve_eigen_variational, "segment", p, N) for p in ps]
-    ok = True
     worst = -np.inf
     for res in cases:
         rep = gradient_comparison_check(res, cache.profile(res))
-        ok &= rep["passed"]
-        worst = max(worst,
-                    rep["max_violation_normalized"] / rep["h_normalized"])
-    return CriterionResult(
-        10, "cell-level gradient bound vs profile", ok,
-        {"worst_violation_over_h": _fmt(worst), "n_cases": len(cases)},
-    )
+        worst = np.maximum(
+            worst, rep["max_violation_normalized"] / rep["h_normalized"])
+    return _judge(10, "cell-level gradient bound vs profile",
+                  {"worst_violation_over_h": worst}, True,
+                  n_cases=len(cases))
 
 
 def criterion_11(scope: str, cache: Cache):
@@ -385,54 +389,45 @@ def criterion_11(scope: str, cache: Cache):
         combos = [(n, p) for n in (2.0, 3.0, 5.0) for p in (1.5, 2.0, 3.0)]
         N = 2000
     worst = 0.0
-    ok = True
     for n, p in combos:
         rs = cache.eig(solve_eigen_shooting, "radial", p, N, n=n)
         rv = cache.eig(solve_eigen_variational, "radial", p, N, n=n)
-        rel = abs(rv.lam - rs.lam) / rs.lam
-        worst = max(worst, rel)
-        ok &= rel <= 5e-3
-    return CriterionResult(
-        11, "variational vs shooting backend agreement", ok,
-        {"max_rel": _fmt(worst), "n_cases": len(combos)},
-    )
+        worst = np.maximum(worst, abs(rv.lam - rs.lam) / rs.lam)
+    return _judge(11, "variational vs shooting backend agreement",
+                  {"max_rel": worst}, True, n_cases=len(combos))
 
 
 def criterion_12(scope: str, cache: Cache):
     N = _EIG_N[scope]
     rs = cache.eig(solve_eigen_shooting, "radial", 2.0, N, n=3.0)
     res = cache.eig(solve_eigen_variational, "segment", 2.0, N)
-    ok = True
+    reps = [E_profile(case, cache.profile(case)) for case in (rs, res)]
     worst = 0.0
-    for case in (rs, res):
-        rep = E_profile(case, cache.profile(case))
-        ok &= rep["monotone_ok"]
-        ok &= rep["spread"] <= 10.0 * rep["h_normalized"]
-        worst = max(worst, rep["spread"] / rep["h_normalized"])
+    for rep in reps:
+        worst = np.maximum(worst, rep["spread"] / rep["h_normalized"])
     # negative control: extra mass near the minimum must flip the verdict
     # (run on the segment instance, whose measure is not degenerate there)
     wpert = res.u.domain.weights.copy()
     wpert[res.u.values < -0.98] *= 30.0
     ctrl = E_profile(res, cache.profile(res), node_weights=wpert)
-    ok &= not ctrl["monotone_ok"]
-    return CriterionResult(
-        12, "mass-ratio profile constancy and control", ok,
-        {"worst_spread_over_h": _fmt(worst),
-         "control_flipped": bool(not ctrl["monotone_ok"])},
-    )
+    flipped = not ctrl["monotone_ok"]
+    return _judge(12, "mass-ratio profile constancy and control",
+                  {"worst_spread_over_h": worst},
+                  all(rep["monotone_ok"] for rep in reps) and flipped,
+                  control_flipped=bool(flipped))
 
 
 def criterion_13(scope: str, cache: Cache):
-    ok = True
+    tables = {p: {r["name"]: r["value"] for r in bounds_table(p, 1.0)}
+              for p in (2.0, 3.0, 4.0)}
     worst = 0.0
-    for p in (2.0, 3.0, 4.0):
-        rows = {r["name"]: r["value"] for r in bounds_table(p, 1.0)}
-        ratio = rows["sharp"] / rows["hui"]
-        worst = max(worst, abs(ratio - 2.0**p) / 2.0**p)
-        ok &= abs(ratio - 2.0**p) / 2.0**p <= 1e-12
-        ok &= rows["sharp"] > rows["hui"] > rows["kn"]
-    return CriterionResult(13, "bounds table ratio and ordering", ok,
-                           {"max_ratio_rel": _fmt(worst)})
+    for p, rows in tables.items():
+        worst = np.maximum(
+            worst, abs(rows["sharp"] / rows["hui"] - 2.0**p) / 2.0**p)
+    return _judge(13, "bounds table ratio and ordering",
+                  {"max_ratio_rel": worst},
+                  all(rows["sharp"] > rows["hui"] > rows["kn"]
+                      for rows in tables.values()))
 
 
 def criterion_14(scope: str, cache: Cache):
@@ -442,11 +437,9 @@ def criterion_14(scope: str, cache: Cache):
                                  include_determinism=False))
     rep2 = format_report(run_all(scope="quick", seed=cache.seed,
                                  include_determinism=False))
-    same = rep1 == rep2
-    return CriterionResult(
-        14, "repeated verification is byte-identical", same,
-        {"payload": "quick suite", "bytes": len(rep1.encode())},
-    )
+    return _judge(14, "repeated verification is byte-identical", {},
+                  rep1 == rep2, payload="quick suite",
+                  bytes=len(rep1.encode()))
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

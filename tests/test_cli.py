@@ -353,6 +353,17 @@ def test_eigensolve_overflow_is_clean(extra):
         assert "floating-point failure" in err, err
 
 
+def test_eigensolve_unsolved_descent_is_not_converged(capsys):
+    # Newton fails at n = 1e4 and the descent stops with lambda 5.17e-28
+    # and residual 1.05e182, far off the discrete eigen-equation; no
+    # level hit its cap, so it printed "converged": true
+    code, out, _ = run_cli(capsys, "eigensolve", "--kind", "radial",
+                           "--N", "16", "--p", "2", "--R", "1", "--n", "1e4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["residual"] > 1e-8 and doc["converged"] is False
+
+
 @pytest.mark.parametrize("method", ["variational", "shooting"])
 def test_eigensolve_underflowing_radial_weights_are_named(method):
     # every node weight r^(n-1) h underflows to 0: the run used to end on

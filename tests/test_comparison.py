@@ -266,8 +266,13 @@ def test_certificate_is_scale_covariant(known_certs, p, n, a):
     # At lam = 1e8 a step floor fixed in t failed a3_small; at 1e-200 the
     # residual's normalizer lam^2 underflowed to 0, and the barrier's
     # tolerances, fixed in t and f, let ordering fail.  At p = 1.5,
-    # lam = 1e-200 the law's rate lam^2 underflows: a clean refusal
+    # lam = 1e-200 the law's rate lam^2 underflows: a clean refusal.
+    # kappa_check's rate deviation and x_law_dev, with steps, floors and
+    # normalizers fixed in t, read 3.34e-4 at (1.5, 2, 0.1), lam = 1e8
+    # (past criterion 6's 1e-4) and 1.5e-300 at (2, 3, 1), lam = 1e-200
     base = known_certs[(p, n, a)]
+    base_rate = kappa_check(base)["max_rel_deviation"]
+    base_x = base.diagnostics["x_law_dev"]
     for lam in (1e-200, 1e-6, 1e-2, 1e2, 1e8):
         pp = PParams(p, n, lam)
         sol = solve_model(ModelProblem(pp, a / pp.alpha))
@@ -278,6 +283,10 @@ def test_certificate_is_scale_covariant(known_certs, p, n, a):
         cert = build_certificate(sol)
         assert cert.offset == base.offset * pp.alpha**2
         assert cert.verdict == base.verdict, (lam, cert.verdict)
+        rate = kappa_check(cert)["max_rel_deviation"]
+        assert base_rate / 2.0 <= rate <= 2.0 * base_rate, (lam, rate)
+        x_dev = cert.diagnostics["x_law_dev"]
+        assert base_x / 2.0 <= x_dev <= 2.0 * base_x, (lam, x_dev)
 
 
 def test_certificate_refuses_an_offset_off_the_float_range(ref_sol):
