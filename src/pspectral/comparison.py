@@ -28,6 +28,8 @@ the a3 residual.  Every certificate is built at one setting, shared by
 the CLI and the acceptance suite: window margin epsilon = 1e-3 delta,
 barrier offset 1e-6 alpha^2 (alpha the problem's scale, 1 at
 lam = p - 1) and a3 bound 1e-6.
+The model's drift T and T' come from model1d._drift; only the barrier's
+float right-hand side writes T = -(n-1)/t inline, once per evaluation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._util import as_scalar_or_array, guarded, spow
-from .model1d import INFINITY, ModelSolution
+from .model1d import INFINITY, ModelSolution, _drift
 
 __all__ = [
     "Certificate",
@@ -56,17 +58,6 @@ __all__ = [
 def _pnl(sol: ModelSolution):
     pp = sol.problem.params
     return pp.p, pp.n_dim, pp.lam
-
-
-def _drift(sol: ModelSolution, t):
-    """Drift T(t) and its derivative dT/dt = T^2/(n-1) (zero drift for
-    the translation-invariant problem)."""
-    _, n, _ = _pnl(sol)
-    t = np.asarray(t, dtype=float)
-    if sol.problem.a == INFINITY:
-        return np.zeros_like(t), np.zeros_like(t)
-    tv = -(n - 1.0) / t
-    return tv, tv * tv / (n - 1.0)
 
 
 def _check_window(sol, t):
@@ -98,7 +89,7 @@ def eta_beta(s, t, sol: ModelSolution):
     """
     x = X_of(sol, t)
     p, n, _ = _pnl(sol)
-    tv, _ = _drift(sol, t)
+    tv, _ = _drift(sol.problem, t)
     eta, beta = _slopes(p, n, np.asarray(s, dtype=float), tv, spow(x, p - 1.0))
     scalar = eta.ndim == 0
     return as_scalar_or_array(eta, scalar), as_scalar_or_array(beta, scalar)
@@ -195,7 +186,7 @@ def a3_residual(sol: ModelSolution, t):
     v = spow(wdot, p - 1.0).reshape(stencil.shape)
     d = (-v[0] + 8.0 * v[1] - 8.0 * v[3] + v[4]) / (12.0 * h)
     v = v[2]
-    tv, _ = _drift(sol, t)
+    tv, _ = _drift(sol.problem, t)
     wp = spow(w, p - 1.0)
     # r, other and d over lam
     d = d / lam
@@ -296,7 +287,7 @@ def build_certificate(sol: ModelSolution) -> Certificate:
                          f"lam = {lam!r}")
 
     lo, hi = a + epsilon, b - epsilon
-    f0 = p / (p - 1.0) * float(_drift(sol, t0)[0])
+    f0 = p / (p - 1.0) * float(_drift(sol.problem, t0)[0])
     # the pair runs in the normalized time tau = alpha t, where t ->
     # alpha t scales f by alpha and X by alpha^(1/(p-1)); the tolerances
     # and the blow-up level follow those scales, so the integration is
@@ -363,11 +354,8 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     gr = np.linspace(t0, hi, _N_GRID)
     ts = np.unique(np.concatenate([gl, gr]))
 
-    # one phase-solution evaluation of X for the whole grid
-    _check_window(sol, ts)
-    w, wdot = sol.state(ts)
-    x = lam1 * w / wdot
-    tv, _ = _drift(sol, ts)
+    x = X_of(sol, ts)
+    tv, _ = _drift(sol.problem, ts)
     p1 = spow(x, p - 1.0)
     # a NaN f (past a blow-up) propagates NaN through eta and beta
     x_law, f = dense(ts)
@@ -467,7 +455,7 @@ def kappa_check(cert: Certificate) -> dict:
                          f"lam^(1/(p-1)) underflows to 0 at p = {p!r}")
 
     def kap(t):
-        tv, _ = _drift(sol, t)
+        tv, _ = _drift(sol.problem, t)
         return _kappa_xt(p, n, lam, X_of(sol, t), tv)
 
     ts = cert.grid["t"]
@@ -494,7 +482,7 @@ def kappa_check(cert: Certificate) -> dict:
     stencil = np.stack([t + 2 * h, t + h, t - h, t - 2 * h])
     k = kap(stencil.ravel()).reshape(stencil.shape)
     fdv = (-k[0] + 8.0 * k[1] - 8.0 * k[2] + k[3]) / (12.0 * h)
-    tv, _ = _drift(sol, t)
+    tv, _ = _drift(sol.problem, t)
     cl = _kappa_dot_xt(p, n, lam, cert.grid["X"][keep], tv)
     # kappa' scales like alpha^((2p-1)/(p-1)) under t -> alpha t
     scale = alpha ** ((2.0 * p - 1.0) / (p - 1.0))
@@ -601,7 +589,7 @@ def reconstruct_psi(cert: Certificate) -> PsiProfile:
 
     a1 = (p - 1.0) / psi * (r2 + r1 * r1 * (n * (p - 1.0) / (p * (n - 1.0)) - 2.0))
 
-    tv, tdot = _drift(sol, ts)
+    tv, tdot = _drift(sol.problem, ts)
     v = spow(wd, p - 1.0)
     sp1 = spow(s, p - 1.0)
     dpw = tv * v - lam * sp1  # the one-dimensional operator value

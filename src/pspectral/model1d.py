@@ -25,7 +25,9 @@ results back through the exact scale covariance t -> alpha*t of the
 equation; the tests call it at the requested alpha to check that
 covariance.  There is one solve setting, DOP853 at rtol 1e-13 and
 atol 1e-14 with no step cap, shared by the CLI, the certificate and the
-acceptance suite.
+acceptance suite, with at most _MAX_PHASE_NFEV evaluations.  The laws of
+the model live here alone: the drift (_drift, which comparison reads) and
+the phase speed (_phase_speed).
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ __all__ = [
 INFINITY = math.inf
 
 _DEFAULT_H0 = 1e-7  # first mesh point for the a = 0 start (normalized scale)
+# Most right-hand-side evaluations of one phase solve (about 3 s); full
+# verify's solves make at most 2,174.
+_MAX_PHASE_NFEV = 100_000
 # trajectory samples; they also bracket each point of w_inverse
 _N_SAMPLES = 600
 
@@ -186,16 +191,9 @@ class ModelSolution:
     def phase_rate(self, t):
         """phi'(t) evaluated from the right-hand side of the phase equation."""
         p = self.problem.params
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        s, c = sin_cos_p(self._phase_fn(arr)[0], p.p)
-        if self.problem.a == INFINITY:
-            tv = np.zeros_like(arr)
-        else:
-            tv = -(p.n_dim - 1.0) / arr
-        out = p.alpha - tv / (p.p - 1.0) * spow(c, p.p - 1.0) * s
-        return as_scalar_or_array(out[0] if scalar else out, scalar)
+        s, c = sin_cos_p(self._phase_fn(t)[0], p.p)
+        out = _phase_speed(p.p, p.alpha, _drift(self.problem, t)[0], s, c)
+        return as_scalar_or_array(out, np.ndim(t) == 0)
 
     def w_inverse(self, s):
         """Inverse of w on [a_eff, b], accepting s in [-1, m_max].
@@ -250,15 +248,38 @@ class ModelSolution:
         return as_scalar_or_array(out[0] if scalar else out, scalar)
 
 
+def _drift(prob: ModelProblem, t):
+    """Drift T(t) = -(n-1)/t and its derivative T' = T^2/(n-1) at the
+    times t (floats or arrays); both are zero where the drift vanishes
+    identically, at a = INFINITY and at n = 1."""
+    t = np.asarray(t, dtype=float)
+    n = prob.params.n_dim
+    if prob.a == INFINITY or n == 1.0:
+        return np.zeros_like(t), np.zeros_like(t)
+    tv = -(n - 1.0) / t
+    return tv, tv * tv / (n - 1.0)
+
+
+def _phase_speed(p, alpha, tv, s, c):
+    """phi' = alpha - T/(p-1) * cos_p^(p-1) * sin_p at drift tv and
+    (sin_p, cos_p) = (s, c) of the phase; floats or arrays."""
+    return alpha - tv / (p - 1.0) * spow(c, p - 1.0) * s
+
+
 def _phase_rhs(p: float, n: float, alpha: float):
-    """Right-hand side of the phase system at scale alpha."""
+    """Right-hand side of the phase system at scale alpha; its evaluation
+    _MAX_PHASE_NFEV + 1 raises RuntimeError."""
+    nfev = [0]
 
     def rhs(t, y):
+        nfev[0] += 1
+        if nfev[0] > _MAX_PHASE_NFEV:
+            raise RuntimeError(f"the phase solve needs more than "
+                               f"{_MAX_PHASE_NFEV} right-hand-side "
+                               f"evaluations")
         s, c = sin_cos_p(y[0], p)
         tv = -(n - 1.0) / t
-        dphi = alpha - tv / (p - 1.0) * spow(c, p - 1.0) * s
-        dl = tv * abs(c) ** p / (p - 1.0)
-        return [dphi, dl]
+        return [_phase_speed(p, alpha, tv, s, c), tv * abs(c) ** p / (p - 1.0)]
 
     return rhs
 
@@ -339,9 +360,10 @@ def solve_model(
         setting every caller shares, the CLI, the certificate and
         `verify` alike; tighter values serve self-checks.
 
-    Raises RuntimeError if event localization fails, and ValueError on
-    a floating-point failure (overflow, division by zero or an invalid
-    operation) in the solve.
+    Raises RuntimeError if event localization fails or the phase solve
+    needs more than _MAX_PHASE_NFEV right-hand-side evaluations, and
+    ValueError on a floating-point failure (overflow, division by zero
+    or an invalid operation) in the solve.
     """
     pp = prob.params
     p, n, alpha = pp.p, pp.n_dim, pp.alpha
@@ -365,9 +387,12 @@ def solve_model(
         )
 
     scale = alpha  # normalized time is alpha * t
-    b_n, t0_n, log_m, dense = _solve_phase(
-        p, n, prob.a * scale, 1.0, rtol, atol, _DEFAULT_H0
-    )
+    try:
+        b_n, t0_n, log_m, dense = _solve_phase(p, n, prob.a * scale, 1.0,
+                                               rtol, atol, _DEFAULT_H0)
+    except RuntimeError as exc:
+        raise RuntimeError(f"solve_model at p = {p!r}, n = {n!r}, "
+                           f"a = {prob.a!r}: {exc}") from None
     diagnostics = {"nfev": int(dense.nfev), "closed_form": False}
 
     t_lo, t_hi = dense.t[0], dense.t[-1]
@@ -413,28 +438,13 @@ def delta_scan(a_grid, params: PParams):
     """
     rows = []
     for a in a_grid:
+        row = {"a": float(a)}
         try:
             sol = solve_model(ModelProblem(params, float(a)))
-            rows.append(
-                {
-                    "a": float(a),
-                    "delta": sol.delta,
-                    "m_max": sol.m_max,
-                    "t0": sol.t0,
-                    "b": sol.b,
-                    "status": "ok",
-                }
-            )
+            row.update(delta=sol.delta, m_max=sol.m_max, t0=sol.t0, b=sol.b,
+                       status="ok")
         except Exception as exc:  # per-row marker, scan continues
-            rows.append(
-                {
-                    "a": float(a),
-                    "delta": math.nan,
-                    "m_max": math.nan,
-                    "t0": math.nan,
-                    "b": math.nan,
-                    "status": f"error: {exc}",
-                }
-            )
+            row.update(dict.fromkeys(("delta", "m_max", "t0", "b"), math.nan),
+                       status=f"error: {exc}")
+        rows.append(row)
     return rows
-

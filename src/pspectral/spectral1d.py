@@ -46,8 +46,8 @@ from scipy import sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from ._util import guarded, spow
-from .model1d import ModelProblem, ModelSolution, PParams, solve_model
-from .ptrig import pi_p, sin_p
+from .model1d import INFINITY, ModelProblem, ModelSolution, PParams, solve_model
+from .ptrig import _pval, pi_p, sin_p
 
 __all__ = [
     "Domain1D",
@@ -431,16 +431,16 @@ class _Level:
         return gn
 
 
+@guarded
 def rayleigh_quotient(u: DiscreteFunction, p: float) -> float:
     """sum(cell_w |Du|^p) / sum(w |u|^p) after the zero-p-mean shift.
 
     The quotient is scale-invariant, so the values are first divided by
     2^(e-1), e the frexp exponent of max|u|: an exact division that puts
     max|u| in [1, 2), where the powers can neither overflow nor underflow.
+    A p whose powers overflow even there (p = 1e308) raises ValueError.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    return _Level(u.domain, p).rayleigh(u.values)
+    return _Level(u.domain, _pval(p)).rayleigh(u.values)
 
 
 def _descend(dom: Domain1D, v: np.ndarray, p: float, cap: int):
@@ -742,8 +742,7 @@ def solve_eigen_variational(domain: Domain1D, p: float,
     Floating-point overflow in the descent (say, differences on a
     1e-300 mesh) raises ValueError.
     """
-    if not (p > 1.0 and np.isfinite(p)):
-        raise ValueError("p must be finite and exceed 1")
+    p = _pval(p)
     opts = opts or SolverOptions()
     failure = None
     if domain.kind != "circle":
@@ -802,8 +801,7 @@ def solve_eigen_shooting(domain: Domain1D, p: float) -> EigenResult:
     (R near the smallest floats) raises ValueError."""
     if domain.kind != "radial":
         raise ValueError("shooting backend requires a radial domain")
-    if not (p > 1.0 and np.isfinite(p)):
-        raise ValueError("p must be finite and exceed 1")
+    p = _pval(p)
     sol = solve_model(ModelProblem(PParams(p=p, n_dim=domain.n_weight), a=0.0))
     b1 = sol.b
     R = domain.length
@@ -911,6 +909,10 @@ def E_profile(res: EigenResult, sol: ModelSolution,
         E(s) = sum_{g_i <= s} w_i u_i^(p-1)
                / integral_a^s w(t)^(p-1) t^(n-1) dt.
 
+    The denominator is exact: the model in divergence form,
+    (t^(n-1) wdot^(p-1))' = -lam t^(n-1) w^(p-1) with wdot(a) = 0, makes
+    it the flux -s^(n-1) wdot(s)^(p-1) / lam (powers signed; n = 1 at
+    a = INFINITY, where the model has no drift).
     Samples with denominator below 0.2 * max|denominator| are dropped
     (both integrals vanish at the window ends).  The verdict demands E
     nondecreasing before the profile's zero t0 and nonincreasing after,
@@ -928,16 +930,16 @@ def E_profile(res: EigenResult, sol: ModelSolution,
     gs = g[order]
     num_cum = np.cumsum(weights[order] * spow(uc[order], params.p - 1.0))
 
-    lo = sol.a_eff + max(1e-9, 1e-9 * sol.delta)
-    tg = np.linspace(lo, sol.b, 4001)
-    integ = spow(np.asarray(sol.w(tg)), params.p - 1.0) * tg ** (params.n_dim - 1.0)
-    den_cum = np.concatenate(
-        [[0.0], np.cumsum((integ[1:] + integ[:-1]) / 2.0 * np.diff(tg))]
-    )
-    dmax = float(np.max(np.abs(den_cum)))
+    k = 0.0 if sol.problem.a == INFINITY else params.n_dim - 1.0
+
+    def flux(t, wdot):
+        return -t ** k * spow(wdot, params.p - 1.0) / params.lam
+
+    traj = sol.trajectory
+    dmax = float(np.max(np.abs(flux(traj["t"], traj["wdot"]))))
 
     svals = np.linspace(gs[2], gs[-2], _E_SAMPLES)
-    dens = np.interp(svals, tg, den_cum)
+    dens = flux(svals, sol.wdot(svals))
     keep = np.abs(dens) >= _E_TRIM * dmax
     s_kept = svals[keep]
     nums = num_cum[np.searchsorted(gs, s_kept, side="right") - 1]
@@ -982,8 +984,7 @@ def bounds_table(p: float, d: float) -> list:
     bound's hypotheses cover the requested exponent.  A value too large
     for a double is inf.
     """
-    if not (p > 1.0 and np.isfinite(p)):
-        raise ValueError("p must be finite and exceed 1")
+    p = _pval(p)
     if not (d > 0.0 and np.isfinite(d)):
         raise ValueError("d must be positive and finite")
     pp = pi_p(p)

@@ -8,11 +8,13 @@ are shared through a session-scoped cache, which also carries the seed.
 The tests after them count the solves of one quick run (the cache must
 make each of them once) and check verify.GATES: each gate decides its
 criterion, a NaN in one case fails it, and the benchmark's copy of the
-bounds agrees with the table.
+bounds agrees with the table.  The last runs the quick suite under the
+benchmark's span tracer, which must install, run and report.
 """
 
 import dataclasses
 import importlib.util
+import json
 import pathlib
 import sys
 from collections import Counter
@@ -20,7 +22,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import pspectral
 from pspectral import verify
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -172,20 +177,51 @@ def test_nan_in_one_case_fails_its_criterion():
     assert result.details["max_rel"] == "nan"
 
 
-def test_benchmark_gate_copy_matches_the_table(monkeypatch):
-    # perfbench/workloads.py keeps its own copy of the bounds, read here
-    # without changing it (its dataclasses need it in sys.modules)
-    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-            / "workloads.py")
+def _bench_module(name, monkeypatch):
+    """perfbench/<name>.py loaded read-only, or a skip when it is gone
+    (dataclasses need their module in sys.modules)."""
+    path = BENCH / f"{name}.py"
     if not path.exists():
-        pytest.skip("no benchmark workloads")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+        pytest.skip(f"no benchmark {name}")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_gate_copy_matches_the_table(monkeypatch):
+    # perfbench/workloads.py keeps its own copy of the bounds
+    workloads = _bench_module("workloads", monkeypatch)
     rows = getattr(workloads, "VERIFY_GATES", None)
     if rows is None:
         pytest.skip("the benchmark keeps no copy of the gates")
     kinds = {"upper": "max", "lower": "min"}
     for cid, key, bound, kind in rows:
         assert verify.GATES[cid][key] == (kinds[kind], bound), (cid, key)
+
+
+def test_quick_suite_runs_under_the_span_tracer(monkeypatch):
+    # the traced benchmark run exits 2 when a worker dies, which a
+    # library change does by breaking a name or a return key the tracer
+    # reads; this runs the same calls in-process
+    spans = _bench_module("spans", monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        report = verify.run_all(scope="quick", seed=verify.DEFAULT_SEED,
+                                include_determinism=False)
+        dom = pspectral.build_domain("circle", 600, L=2.0)
+        pspectral.solve_eigen_variational(dom, 2.0,
+                                          pspectral.SolverOptions(seed=1))
+    assert report["passed"]
+    metrics = tracer.metrics()
+    assert all(metrics[f"verify.criterion_{cid:02d}.s"][0] > 0.0
+               for cid in spans.TRACED_CRITERIA)
+    assert metrics["model1d.solve_model.calls"][0] > 0
+    assert metrics["spectral1d.variational.iterations"][0] > 0
+    table = BENCH.parent / "BENCHMARK.json"
+    if table.exists():
+        rows = json.loads(table.read_text())["per_layer"]
+        names = {row["name"] for row in rows}
+        # trace.* come from the runner, not the tracer
+        assert {m for m in names if not m.startswith("trace.")} <= set(metrics)

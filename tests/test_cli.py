@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pspectral
 from pspectral import verify
@@ -30,17 +30,32 @@ def run_cli(capsys, *argv):
     return code, cap.out, cap.err
 
 
-def run_module(*argv):
-    """Run `python -m pspectral` in a fresh interpreter, so warnings and
-    tracebacks reach stderr as a user would see them."""
+def start_module(*argv):
+    """Start `python -m pspectral` in a fresh interpreter, so warnings
+    and tracebacks reach stderr as a user would see them."""
     src = str(pathlib.Path(pspectral.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-m", "pspectral", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    return proc.returncode, proc.stdout, proc.stderr
+    return subprocess.Popen([sys.executable, "-m", "pspectral", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+
+
+def finish_module(proc, timeout=120):
+    """(exit code, stdout, stderr) of a started run; one that outlives
+    timeout is killed and fails the test."""
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"{shlex.join(proc.args[1:])} ran past {timeout} s")
+    return proc.returncode, out, err
+
+
+def run_module(*argv):
+    return finish_module(start_module(*argv))
 
 
 def parse_csv(text):
@@ -501,15 +516,6 @@ def test_eigensolve_finite_inputs_end_in_an_exit_code(kind, N, p, L, x1, R, n):
     assert code == 0 or err.getvalue().count("\n") == 1, err.getvalue()
 
 
-def _affordable_phase_solve(p, n):
-    """False where solve_model's cost has no bound (open defects, see
-    CHANGES.md): at p in (1.001, 1.06] it runs from seconds to minutes
-    (n = 3, a = 1), and at n from a few hundred up to about 1e150 its
-    cost grows like n (2.6 s at n = 300, 14 s at 3000, past 20 s at
-    1e20) until the first step overflows."""
-    return not (1.0 < p < 1.1 or 100.0 < n < 1e160)
-
-
 @settings(max_examples=30, deadline=None)
 @given(p=st.one_of(st.floats(1.1, 8.0), finite),
        n=st.one_of(st.floats(1.0, 8.0), finite),
@@ -519,10 +525,10 @@ def test_model_and_certify_finite_inputs_end_in_an_exit_code(p, n, a, lam):
     # n = 1e300 (the phase solve's first step overflowed), p near 1
     # (lam^(1/(p-1)) underflowed and kappa_check divided by zero) and a
     # subnormal a (a NaN first slope hung the solver) once escaped as
-    # RuntimeWarnings, tracebacks or a hang.  A certificate that fails
+    # RuntimeWarnings, tracebacks or a hang, and p near 1 or n in the
+    # hundreds and up once ran for minutes.  A certificate that fails
     # its verdicts exits 1 with the verdicts on stdout.  Any lam reaches
     # the offset 1e-6 alpha^2 at extreme scales alpha.
-    assume(_affordable_phase_solve(p, n))
     common = ["--p", repr(p), "--n", repr(n), "--a", repr(a)]
     if lam is not None:
         common += ["--lambda", repr(lam)]
@@ -538,14 +544,6 @@ def test_model_and_certify_finite_inputs_end_in_an_exit_code(p, n, a, lam):
             argv, err.getvalue())
 
 
-
-def _bounded_from_zero(p, n):
-    """False where the phase solve from a = 0 has no bound on its cost
-    (open defect, see CHANGES.md): at p from about 1e30 with n from
-    1e160 on it runs for minutes (p = n = 3.6e207 past 100 s)."""
-    return not (p > 1e20 and n >= 1e160)
-
-
 @settings(max_examples=30, deadline=None)
 @given(p=st.one_of(st.floats(1.1, 8.0), finite),
        n=st.one_of(st.floats(1.0, 8.0), finite),
@@ -556,11 +554,9 @@ def _bounded_from_zero(p, n):
        R=st.one_of(st.floats(0.1, 10.0), finite))
 def test_delta_scan_and_shooting_finite_inputs_end_in_an_exit_code(
         p, n, avals, lam, N, R):
-    # the phase solve behind both, with the exclusions of the model and
-    # certify property and one for the a = 0 start that both use; a
-    # failing delta-scan row is a status, not an exit.  A tiny R once
+    # the phase solve behind both, from a = 0 in the shooting backend;
+    # a failing delta-scan row is a status, not an exit.  A tiny R once
     # overflowed the shooting profile's differences (a RuntimeWarning)
-    assume(_affordable_phase_solve(p, n) and _bounded_from_zero(p, n))
     scan = ["delta-scan", "--p", repr(p), "--n", repr(n),
             "--a-values", ",".join(repr(a) for a in avals)]
     if lam is not None:
@@ -577,6 +573,27 @@ def test_delta_scan_and_shooting_finite_inputs_end_in_an_exit_code(
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert code == 0 or err.getvalue().count("\n") == 1, (
             argv, err.getvalue())
+
+
+def test_phase_solves_past_the_evaluation_limit_exit_1():
+    # each ran for minutes before the phase solve had a limit; the three
+    # run side by side, and a regression fails on the timeout
+    cases = (["model", "--p", "1.02", "--n", "3", "--a", "1"],
+             ["model", "--p", "1e30", "--n", "1e160", "--a", "0"],
+             ["eigensolve", "--kind", "radial", "--N", "16", "--p", "2",
+              "--R", "1", "--n", "1e6", "--method", "shooting"])
+    procs = [start_module(*argv) for argv in cases]
+    try:
+        for argv, proc in zip(cases, procs):
+            code, _, err = finish_module(proc, timeout=60)
+            assert code == 1, (argv, err)
+            assert err.count("\n") == 1, err
+            assert "right-hand-side evaluations" in err, err
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
 
 # ------------------------------------------------------ docs and names

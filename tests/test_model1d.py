@@ -21,7 +21,8 @@ from pspectral import (
     sin_p,
     solve_model,
 )
-from pspectral.model1d import _DEFAULT_H0, _solve_phase
+from pspectral import model1d
+from pspectral.model1d import _DEFAULT_H0, _drift, _solve_phase
 
 from oracles import bessel_case_n2, solve_divergence_form, spherical_case_n3
 
@@ -153,6 +154,26 @@ def test_phase_rate_lower_bound():
         ts = ts[ts > sol.a_eff + 1e-6]
         rates = sol.phase_rate(ts)
         assert np.min(rates) >= pp.alpha / n - 1e-8
+
+
+def test_driftless_model_has_constant_phase_speed():
+    # at a = INFINITY the drift and its derivative vanish, so phi' = alpha
+    for p, n in [(3.0, 3.0), (1.5, 1.0)]:
+        prob = ModelProblem(PParams(p, n, 4.0), INFINITY)
+        sol = solve_model(prob)
+        ts = np.linspace(0.0, sol.b, 50)
+        tv, tdot = _drift(prob, ts)
+        assert not tv.any() and not tdot.any()
+        assert np.all(sol.phase_rate(ts) == prob.params.alpha)
+
+
+def test_phase_solve_stops_at_its_evaluation_limit(monkeypatch):
+    monkeypatch.setattr(model1d, "_MAX_PHASE_NFEV", 100)
+    with pytest.raises(RuntimeError) as err:
+        solve_model(ModelProblem(PParams(2.0, 3.0), 1.0))
+    assert str(err.value) == ("solve_model at p = 2.0, n = 3.0, a = 1.0: the "
+                              "phase solve needs more than 100 "
+                              "right-hand-side evaluations")
 
 
 def test_energy_law():

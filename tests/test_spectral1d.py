@@ -147,6 +147,16 @@ def test_rayleigh_quotient_is_scale_free(scale):
     assert got == pytest.approx(ref, rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [math.inf, 1e308])
+def test_rayleigh_quotient_rejects_a_p_without_finite_powers(p):
+    dom = build_domain("segment", 32, x0=0.0, x1=1.0)
+    u = DiscreteFunction(dom, np.cos(np.pi * dom.nodes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            rayleigh_quotient(u, p)
+
+
 def test_rayleigh_rejects_constant():
     dom = build_domain("circle", 64, L=2.0)
     u = DiscreteFunction(dom, np.ones(64))
@@ -576,6 +586,51 @@ def test_E_profile_radial_constant(radial_pair):
     assert rep["n_kept"] > 100
     # kept samples straddle the profile zero
     assert rep["s"][0] < rep["t0"] < rep["s"][-1]
+
+
+def _flux(sol, t):
+    """-t^(n-1) wdot(t)^(p-1) / lam, the integral of w^(p-1) t^(n-1)
+    from a to t by the divergence form of the model (n = 1 when a =
+    INFINITY)."""
+    pp = sol.problem.params
+    k = 0.0 if sol.problem.a == INFINITY else pp.n_dim - 1.0
+    return -t ** k * spow(sol.wdot(t), pp.p - 1.0) / pp.lam
+
+
+def test_E_profile_denominator_is_the_flux(radial_pair):
+    res, sol = radial_pair
+    rep = E_profile(res, sol)
+    _, _, _, uc = spectral1d._profile_frame(res, sol)
+    g = sol.w_inverse(uc)
+    order = np.argsort(g)
+    num = np.cumsum(res.u.domain.weights[order]
+                    * spow(uc[order], res.p - 1.0))
+    nums = num[np.searchsorted(g[order], rep["s"], side="right") - 1]
+    assert np.allclose(rep["E"] * _flux(sol, rep["s"]), nums,
+                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p,n,a,lam", [(2.0, 3.0, 0.0, 5.0),
+                                       (1.5, 1.0, INFINITY, 2.0),
+                                       (3.0, 5.0, 0.0, 7.0),
+                                       (2.5, 3.0, 0.7, 1.3)])
+def test_flux_matches_a_fine_trapezoid_to_its_own_error(p, n, a, lam):
+    # trapezoids on 4000 and 8000 cells up to eight points of the window;
+    # their error falls at least linearly (w^(p-1) has a kink at t0 when
+    # p < 2), so the finer one is within their difference of the flux
+    sol = solve_model(ModelProblem(PParams(p, n, lam), a))
+    k = 0.0 if a == INFINITY else n - 1.0
+    ends = np.linspace(sol.a_eff, sol.b, 9)[1:]
+    coarse, fine = (
+        np.array([np.trapezoid(spow(sol.w(t), p - 1.0) * t ** k, t)
+                  for t in (np.linspace(sol.a_eff, e, cells + 1)
+                            for e in ends)])
+        for cells in (4000, 8000))
+    exact = _flux(sol, ends)
+    scale = np.max(np.abs(exact))
+    assert np.all(np.abs(fine - exact)
+                  <= np.abs(coarse - fine) + 1e-12 * scale)
+    assert np.max(np.abs(fine - exact)) < 1e-5 * scale
 
 
 def test_E_profile_negative_control(radial_pair):
