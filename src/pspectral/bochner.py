@@ -1,8 +1,8 @@
 """Flat-space differential-operator laboratory.
 
-Evaluates gradients, Hessians, and third derivatives of caller-supplied
-scalar fields by high-order central finite differences, and uses them
-to verify pointwise identities and inequalities for the p-Laplacian:
+Evaluates gradients and Hessians of caller-supplied scalar fields by
+order-4 central finite differences, and uses them to verify pointwise
+identities and inequalities for the p-Laplacian:
 
 * p_laplacian_at: |grad u|^(p-2) (tr H + (p-2) A_u) with the radial
   Hessian component A_u = <g, H g>/|g|^2;
@@ -16,17 +16,16 @@ to verify pointwise identities and inequalities for the p-Laplacian:
 * eigen_estimate_check: the eigenfunction form of that bound, with the
   eigen-equation precondition measured and enforced.
 
-Stencils are data: one cached table per (dim, third) holds the node
-offsets and each derivative entry's weights over them (5-point, order 4
-for first and second derivatives, order 2 for third derivatives; a
-mixed entry takes the product of 1-d weights).  Derivatives at one
-point (dim,) or at each row of a batch (N, dim) cost one field
-evaluation over all their nodes, so the nested fields |grad u|^p and
-Delta_p u evaluate their whole outer stencil with one batched inner
-call; the degenerate-gradient test reads |u| at the zero-offset node,
-and bochner_residual derives its base derivatives once for the error
-estimate and the operator.  Fields are evaluated in one call when the
-evaluator accepts a (dim, N) array (all catalog fields do), with a
+Stencils are data: one cached table per dim holds the node offsets and
+each derivative entry's weights over them (5-point, order 4; a mixed
+entry takes the product of 1-d weights).  Derivatives at one point
+(dim,) or at each row of a batch (N, dim) cost one field evaluation
+over all their nodes, so the nested fields |grad u|^p and Delta_p u
+evaluate their whole outer stencil with one batched inner call; the
+degenerate-gradient test reads |u| at the zero-offset node, and
+bochner_residual derives its base derivatives once for its halved-step
+error estimate and the operator.  Fields are evaluated in one call when
+the evaluator accepts a (dim, N) array (all catalog fields do), with a
 transparent per-point fallback otherwise.  The entry points reject
 p <= 1 and steps that are not finite and positive, and report
 floating-point overflow as ValueError.
@@ -66,23 +65,16 @@ _HESSIAN_TOL = 1e-10
 _EIGEN_PRE_TOL = 1e-5
 
 # 1-d weights {offset: w} of f^(k) h^k by the derivative order k along an
-# axis: order-4 accurate for entries of total order 1 and 2, order-2
-# accurate for the third-derivative entries.
+# axis, order-4 accurate for entries of total order 1 and 2.
 _ORDER4 = {
     1: {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12},
     2: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
 }
-_ORDER2 = {
-    1: {-1: -0.5, 1: 0.5},
-    2: {-1: 1.0, 0: -2.0, 1: 1.0},
-    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-}
-_RULES = {1: _ORDER4, 2: _ORDER4, 3: _ORDER2}
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A deterministic scalar function of a dim-vector, C^3 near the
+    """A deterministic scalar function of a dim-vector, C^2 near the
     points it is queried at."""
 
     dim: int
@@ -100,20 +92,12 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class DiffReport:
-    """Derivatives of a field at a point.
-
-    grad and hess are order-4 accurate, third is order-2; est_error is
-    the largest component change when the step is halved (Richardson
-    comparison), an observed error bound for the order-4 entries.
-    third is None when not requested.
-    """
+    """Order-4 accurate gradient and Hessian of a field at a point."""
 
     point: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    third: np.ndarray | None
     step: float
-    est_error: float
 
 
 def _eval_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
@@ -131,19 +115,17 @@ def _eval_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil(dim: int, third: bool):
+def _stencil(dim: int):
     """Node offsets (K, dim), the index of the zero offset, and the
-    weights of the gradient (dim, K1), the Hessian (dim, dim, K2) and,
-    when third, the third-derivative tensor (dim, dim, dim, K) (else
-    None), all in units of the step.  Each order's weights span the
-    first K1 <= K2 <= K nodes it uses, so the gradient and Hessian do
-    not depend on third."""
-    nodes, weights = {}, [None, None, None]
-    for order in (1, 2, 3) if third else (1, 2):
+    weights of the gradient (dim, K1) and the Hessian (dim, dim, K), all
+    in units of the step; the gradient's weights span the first K1 <= K
+    nodes."""
+    nodes, weights = {}, [None, None]
+    for order in (1, 2):
         entries = []
         for idx in itertools.product(range(dim), repeat=order):
             count = collections.Counter(idx)
-            rules = [_RULES[order][k].items() for k in count.values()]
+            rules = [_ORDER4[k].items() for k in count.values()]
             for terms in itertools.product(*rules):
                 off, w = [0] * dim, 1.0
                 for axis, (o, wo) in zip(count, terms):
@@ -158,16 +140,14 @@ def _stencil(dim: int, third: bool):
     return (np.array(list(nodes), dtype=float), centre, *weights)
 
 
-def _derivs(field: ScalarField, points, h: float, third: bool,
-            value: bool = False):
-    """Gradient, Hessian and third-derivative tensor (None unless third)
-    at one point (dim,) or at each row of a batch (N, dim), followed
-    when value by the field value there (the stencil's zero-offset
-    node); one _eval_many call covers every stencil node of every
+def _derivs(field: ScalarField, points, h: float):
+    """(gradient, Hessian, field value) at one point (dim,) or at each
+    row of a batch (N, dim), the value read at the stencil's zero-offset
+    node; one _eval_many call covers every stencil node of every
     point."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step must be finite and positive, got {h!r}")
-    offsets, centre, *weights = _stencil(field.dim, third)
+    offsets, centre, *weights = _stencil(field.dim)
     nodes = np.asarray(points, dtype=float)[..., None, :] + h * offsets
     lead = nodes.shape[:-2]
     vals = _eval_many(field, nodes.reshape(-1, field.dim))
@@ -175,10 +155,10 @@ def _derivs(field: ScalarField, points, h: float, third: bool,
     # one pairwise sum per entry and point: a batch row matches its
     # single-point result bit for bit
     out = tuple(
-        None if w is None else np.sum(vals[..., :w.shape[-1]] * w.reshape(
-            -1, w.shape[-1]), axis=-1).reshape(lead + w.shape[:-1]) / h**k
+        np.sum(vals[..., :w.shape[-1]] * w.reshape(-1, w.shape[-1]),
+               axis=-1).reshape(lead + w.shape[:-1]) / h**k
         for k, w in enumerate(weights, 1))
-    return out + (vals[..., 0, centre],) if value else out
+    return out + (vals[..., 0, centre],)
 
 
 def _point(field: ScalarField, point) -> np.ndarray:
@@ -188,35 +168,22 @@ def _point(field: ScalarField, point) -> np.ndarray:
     return point
 
 
-def _halving_error(field: ScalarField, point, step: float, third: bool,
-                   derivs) -> float:
-    """Largest component change of derivs, the derivatives at step,
-    when the step is halved (Richardson comparison)."""
-    halved = _derivs(field, point, step / 2.0, third)
-    return max(float(np.max(np.abs(x - y)))
-               for x, y in zip(derivs, halved) if x is not None)
+def _halving_error(field: ScalarField, point, step: float, grad,
+                   hess) -> float:
+    """Largest component change of grad and hess, the derivatives at
+    step, when the step is halved (Richardson comparison)."""
+    g2, h2, _ = _derivs(field, point, step / 2.0)
+    return max(float(np.max(np.abs(grad - g2))),
+               float(np.max(np.abs(hess - h2))))
 
 
 @guarded
-def differentiate(
-    field: ScalarField,
-    point,
-    step: float = DEFAULT_STEP,
-    third: bool = True,
-    estimate_error: bool = True,
-) -> DiffReport:
-    """Gradient, Hessian, and (optionally) third derivatives at point.
-
-    est_error compares against a halved-step evaluation; pass
-    estimate_error=False to skip that second pass (est_error = nan).
-    """
+def differentiate(field: ScalarField, point,
+                  step: float = DEFAULT_STEP) -> DiffReport:
+    """Gradient and Hessian at point."""
     point = _point(field, point)
-    g, h_, t = _derivs(field, point, step, third)
-    est = float("nan")
-    if estimate_error:
-        est = _halving_error(field, point, step, third, (g, h_, t))
-    return DiffReport(point=point, grad=g, hess=h_, third=t, step=step,
-                      est_error=est)
+    g, h_, _ = _derivs(field, point, step)
+    return DiffReport(point=point, grad=g, hess=h_, step=step)
 
 
 def _require_gradient(points, grad, u):
@@ -235,11 +202,11 @@ def _operator(field: ScalarField, points, p: float, step: float,
               derivs=None):
     """(grad, Hessian, |grad u|, A_u, Delta_p u) at one point or each
     row of a batch; rejects degenerate-gradient points.  derivs, when
-    given, is what _derivs(field, points, step, False, value=True)
-    returns, so the stencil is not evaluated again."""
+    given, is what _derivs(field, points, step) returns, so the stencil
+    is not evaluated again."""
     if derivs is None:
-        derivs = _derivs(field, points, step, third=False, value=True)
-    g, h_, _, u = derivs
+        derivs = _derivs(field, points, step)
+    g, h_, u = derivs
     gn = _require_gradient(points, g, u)
     a = np.einsum("...i,...ij,...j->...", g, h_, g) / (gn * gn)
     dpu = gn ** (p - 2.0) * (np.trace(h_, axis1=-2, axis2=-1) + (p - 2.0) * a)
@@ -268,7 +235,7 @@ def pII_at(field_u: ScalarField, field_g: ScalarField, point, p: float,
         raise ValueError("fields must share a dimension")
     point = np.asarray(point, dtype=float)
     gu, _, gn, _, _ = _operator(field_u, point, p, step)
-    _, hg, _ = _derivs(field_g, point, step, third=False)
+    _, hg, _ = _derivs(field_g, point, step)
     return _pII(gu, gn, hg, p)
 
 
@@ -281,11 +248,11 @@ def _pII_gradp(field: ScalarField, point, p: float, step: float,
     base = _operator(field, point, p, step, derivs)
 
     def gradp(y):
-        g = _derivs(field, np.transpose(y), step, third=False)[0]
+        g = _derivs(field, np.transpose(y), step)[0]
         return np.sum(g * g, axis=-1) ** (p / 2.0)
 
     gfield = ScalarField(field.dim, gradp, name="|grad|^p")
-    _, hgp, _ = _derivs(gfield, point, step ** (2.0 / 3.0), third=False)
+    _, hgp, _ = _derivs(gfield, point, step ** (2.0 / 3.0))
     return (_pII(base[0], base[2], hgp, p) / p, *base)
 
 
@@ -305,8 +272,8 @@ def bochner_residual(field: ScalarField, point, p: float,
     """
     p = _pval(p)
     point = _point(field, point)
-    base = _derivs(field, point, step, third=False, value=True)
-    est = _halving_error(field, point, step, False, base[:3])
+    base = _derivs(field, point, step)
+    est = _halving_error(field, point, step, base[0], base[1])
     deriv_scale = max(1.0, float(np.max(np.abs(base[0]))),
                       float(np.max(np.abs(base[1]))))
     if est > 1e-2 * deriv_scale:
@@ -316,7 +283,7 @@ def bochner_residual(field: ScalarField, point, p: float,
     lhs, g, h_, gn, a, dpu = _pII_gradp(field, point, p, step, base)
     dpf = ScalarField(field.dim, lambda y: _operator(
         field, np.transpose(y), p, step)[4], name="p-laplacian")
-    grad_dp, _, _ = _derivs(dpf, point, step ** (2.0 / 3.0), third=False)
+    grad_dp, _, _ = _derivs(dpf, point, step ** (2.0 / 3.0))
     rhs = gn ** (2.0 * (p - 2.0)) * (
         gn ** (2.0 - p) * (grad_dp @ g - (p - 2.0) * a * dpu)
         + np.sum(h_ * h_)

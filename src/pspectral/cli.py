@@ -49,10 +49,6 @@ from .spectral1d import (
 __all__ = ["main", "build_parser"]
 
 
-class _Usage(Exception):
-    pass
-
-
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
@@ -95,14 +91,14 @@ def _parse_floats(raw: str, flag: str):
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise _Usage(f"{flag} expects a comma-separated list of numbers")
+        raise ValueError(f"{flag} expects a comma-separated list of numbers")
 
 
 def _parse_a(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise _Usage(f"--a expects a number or 'inf', got {raw!r}")
+        raise ValueError(f"--a expects a number or 'inf', got {raw!r}")
 
 
 # ---------------------------------------------------------------- ptrig
@@ -136,7 +132,7 @@ def _cmd_ptrig(args) -> int:
         else:  # so that the span hi - lo and its multiples cannot overflow
             xs = 4.0 * np.linspace(0.25 * lo, 0.25 * hi, num)
     except ValueError:
-        raise _Usage("--grid expects LO:HI:NUM with finite LO, HI")
+        raise ValueError("--grid expects LO:HI:NUM with finite LO, HI")
     fn = _PTRIG_FNS[args.fn]
     vals = np.asarray(fn(xs, p), dtype=float)
     _output(args, {"p": p, "fn": args.fn, "x": xs, "value": vals},
@@ -175,7 +171,7 @@ def _cmd_model(args) -> int:
 def _cmd_delta_scan(args) -> int:
     avals = _parse_floats(args.a_values, "--a-values")
     if not avals:
-        raise _Usage("--a-values must contain at least one endpoint")
+        raise ValueError("--a-values must contain at least one endpoint")
     rows = delta_scan(avals, PParams(p=args.p, n_dim=args.n, lam=args.lam))
     header = ["a", "delta", "m_max", "t0", "b", "status"]
     _output(args, {"rows": rows}, header,
@@ -207,11 +203,8 @@ def _cmd_certify(args) -> int:
         "grid_size": len(cert.grid["t"]),
     }
     if args.grid_out:
-        cols = ["t", "X", "f", "eta_of_f", "beta_of_f", "y1", "y2",
-                "kappa", "slack1", "slack2", "a3_residual"]
-        rows = zip(*[cert.grid[c] for c in cols])
         with open(args.grid_out, "w") as fh:
-            fh.write(_csv_text(cols, rows))
+            fh.write(_csv_text(cert.grid, zip(*cert.grid.values())))
     rows = [[k, v] for k, v in sorted(payload["verdict"].items())]
     rows += [["all_ok", payload["all_ok"]],
              ["kappa_t0_rel_err", kk["kappa_t0_rel_err"]],
@@ -236,14 +229,14 @@ def _cmd_bochner(args) -> int:
                 header, rows)
         return 0
     if args.field not in cat:
-        raise _Usage(f"unknown field {args.field!r}; "
-                     f"choose from {', '.join(sorted(cat))} or 'all'")
+        raise ValueError(f"unknown field {args.field!r}; "
+                         f"choose from {', '.join(sorted(cat))} or 'all'")
     entry = cat[args.field]
     point = entry.point
     if args.point:
         vals = _parse_floats(args.point, "--point")
         if len(vals) != entry.field.dim:
-            raise _Usage(f"--point needs {entry.field.dim} coordinates")
+            raise ValueError(f"--point needs {entry.field.dim} coordinates")
         point = np.array(vals)
     res = bochner_residual(entry.field, point, args.p, step=args.step)
     payload = {
@@ -445,9 +438,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,11 +23,11 @@ m_max = w(b).  One integrator serves every lam: it takes alpha as a
 parameter.  solve_model calls it at lam = p-1 (alpha = 1) and maps the
 results back through the exact scale covariance t -> alpha*t of the
 equation; the tests call it at the requested alpha to check that
-covariance.  There is one solve setting, DOP853 at rtol 1e-13 and
-atol 1e-14 with no step cap, shared by the CLI, the certificate and the
-acceptance suite, with at most _MAX_PHASE_NFEV evaluations.  The laws of
-the model live here alone: the drift (_drift, which comparison reads) and
-the phase speed (_phase_speed).
+covariance.  There is one solve setting, DOP853 at rtol _RTOL = 1e-13
+and atol _ATOL = 1e-14 with no step cap, shared by the CLI, the
+certificate and the acceptance suite, with at most _MAX_PHASE_NFEV
+evaluations.  The laws of the model live here alone: the drift (_drift,
+which comparison reads) and the phase speed (_phase_speed).
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ __all__ = [
 INFINITY = math.inf
 
 _DEFAULT_H0 = 1e-7  # first mesh point for the a = 0 start (normalized scale)
+# DOP853 step tolerances of every phase solve
+_RTOL = 1e-13
+_ATOL = 1e-14
 # Most right-hand-side evaluations of one phase solve (about 3 s); full
 # verify's solves make at most 2,174.
 _MAX_PHASE_NFEV = 100_000
@@ -284,7 +287,7 @@ def _phase_rhs(p: float, n: float, alpha: float):
     return rhs
 
 
-def _solve_phase(p, n, a, alpha, rtol, atol, h0):
+def _solve_phase(p, n, a, alpha, h0):
     """Integrate the phase system at scale alpha from a to the first
     phi = pi_p/2.
 
@@ -321,7 +324,7 @@ def _solve_phase(p, n, a, alpha, rtol, atol, h0):
     t_max = max(a, t_start) + 1.05 * n * 2.0 * hp / alpha + 1.0
     sol = solve_ivp(rhs, (t_start, t_max), y0,
                     method="DOP853", events=[ev_zero, ev_top],
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=_RTOL, atol=_ATOL, dense_output=True)
     if len(sol.t_events[1]) == 0:
         raise RuntimeError(
             f"phase never reached pi_p/2 before t = {t_max:.3g} "
@@ -342,23 +345,13 @@ _PHASE_CHECK_TOL = 1e-9
 
 
 @guarded
-def solve_model(
-    prob: ModelProblem,
-    *,
-    rtol: float = 1e-13,
-    atol: float = 1e-14,
-) -> ModelSolution:
+def solve_model(prob: ModelProblem) -> ModelSolution:
     """Solve the model problem and locate b, t0, delta, m_max.
 
     The phase system is integrated at lam = p-1 (alpha = 1) and mapped
-    back to the requested lam by the scale covariance t -> alpha*t.
-
-    Parameters
-    ----------
-    prob : ModelProblem
-    rtol, atol : integrator step tolerances.  The defaults are the one
-        setting every caller shares, the CLI, the certificate and
-        `verify` alike; tighter values serve self-checks.
+    back to the requested lam by the scale covariance t -> alpha*t, at
+    the one step setting _RTOL, _ATOL that the CLI, the certificate and
+    `verify` share.
 
     Raises RuntimeError if event localization fails or the phase solve
     needs more than _MAX_PHASE_NFEV right-hand-side evaluations, and
@@ -389,7 +382,7 @@ def solve_model(
     scale = alpha  # normalized time is alpha * t
     try:
         b_n, t0_n, log_m, dense = _solve_phase(p, n, prob.a * scale, 1.0,
-                                               rtol, atol, _DEFAULT_H0)
+                                               _DEFAULT_H0)
     except RuntimeError as exc:
         raise RuntimeError(f"solve_model at p = {p!r}, n = {n!r}, "
                            f"a = {prob.a!r}: {exc}") from None

@@ -350,8 +350,7 @@ def criterion_9(scope: str, cache: Cache):
             u.dim, lambda x, ev=u.evaluator: ev(x) ** 3 + 2.0 * ev(x)
         )
         u0 = float(u(e.point))
-        rep = differentiate(u, e.point, step=5e-3, third=False,
-                            estimate_error=False)
+        rep = differentiate(u, e.point, step=5e-3)
         gn = float(np.linalg.norm(rep.grad))
         for p in (1.5, 2.0, 3.0):
             left = pII_at(u, comp, e.point, p, step=5e-3)

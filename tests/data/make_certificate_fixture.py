@@ -4,10 +4,11 @@ reference case (p=2, n=3, a=1, lam=1).
 Run from the repository root:  python3 tests/data/make_certificate_fixture.py
 
 The script builds the certificate twice -- once from the model solve at
-its default tolerances (rtol 1e-13, atol 1e-14) and once at tolerances
-tightened to 2.5e-14 and 2.5e-15 (scipy floors rtol at 100 machine
-epsilons) -- and refuses to write the fixture if the two grids disagree
-beyond the advertised tolerance, so the frozen file is self-oracled.
+its one step setting (model1d._RTOL = 1e-13, model1d._ATOL = 1e-14) and
+once with those two module constants tightened to 2.5e-14 and 2.5e-15
+(scipy floors rtol at 100 machine epsilons) and restored afterwards --
+and refuses to write the fixture if the two grids disagree beyond the
+advertised tolerance, so the frozen file is self-oracled.
 """
 
 import csv
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from pspectral import ModelProblem, PParams, solve_model
+from pspectral import ModelProblem, PParams, model1d, solve_model
 from pspectral.comparison import build_certificate
 
 TOL = 1e-8
@@ -24,14 +25,23 @@ COLS = ["t", "X", "f", "eta_of_f", "beta_of_f", "y1", "y2", "kappa",
         "slack1", "slack2", "a3_residual"]
 
 
-def build(**tolerances):
-    sol = solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0), **tolerances)
+def build():
+    sol = solve_model(ModelProblem(PParams(2.0, 3, 1.0), 1.0))
     return build_certificate(sol)
+
+
+def build_tightened():
+    saved = model1d._RTOL, model1d._ATOL
+    model1d._RTOL, model1d._ATOL = 2.5e-14, 2.5e-15
+    try:
+        return build()
+    finally:
+        model1d._RTOL, model1d._ATOL = saved
 
 
 def main():
     cert = build()
-    fine = build(rtol=2.5e-14, atol=2.5e-15)
+    fine = build_tightened()
     worst = 0.0
     for c in ("X", "f", "kappa", "slack1", "slack2"):
         dev = np.max(np.abs(cert.grid[c] - fine.grid[c])

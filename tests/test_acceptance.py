@@ -8,14 +8,16 @@ are shared through a session-scoped cache, which also carries the seed.
 The tests after them count the solves of one quick run (the cache must
 make each of them once) and check verify.GATES: each gate decides its
 criterion, a NaN in one case fails it, and the benchmark's copy of the
-bounds agrees with the table.  The last runs the quick suite under the
-benchmark's span tracer, which must install, run and report.
+bounds agrees with the table.  The last two run the quick suite under
+the benchmark's span tracer, which must install, run and report, once
+in-process and once as the traced benchmark command itself.
 """
 
 import dataclasses
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 from collections import Counter
 
@@ -219,9 +221,26 @@ def test_quick_suite_runs_under_the_span_tracer(monkeypatch):
                for cid in spans.TRACED_CRITERIA)
     assert metrics["model1d.solve_model.calls"][0] > 0
     assert metrics["spectral1d.variational.iterations"][0] > 0
+    # the worker serializes both; a numpy count would not encode
+    json.dumps(metrics)
+    json.dumps(tracer.dump())
     table = BENCH.parent / "BENCHMARK.json"
     if table.exists():
         rows = json.loads(table.read_text())["per_layer"]
         names = {row["name"] for row in rows}
         # trace.* come from the runner, not the tracer
         assert {m for m in names if not m.startswith("trace.")} <= set(metrics)
+
+
+def test_traced_benchmark_run_exits_cleanly():
+    # the benchmark's own traced pass, as a subprocess from the repo root:
+    # it exits 2 when a worker dies outside a case
+    if not (BENCH / "run.py").exists():
+        pytest.skip("no benchmark run.py")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "verify-quick",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = proc.stdout.strip().splitlines()[-1]
+    assert json.loads(last)["correct"] is True

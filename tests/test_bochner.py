@@ -41,7 +41,7 @@ def _poly_2d_a():
 
 def test_differentiate_polynomial_exact():
     # u = x + 2y + x^2 y: grad = (1 + 2xy, 2 + x^2),
-    # hess = [[2y, 2x], [2x, 0]], third nonzero only at xxy-type slots.
+    # hess = [[2y, 2x], [2x, 0]].
     e = _poly_2d_a()
     x0, y0 = 0.3, -0.7
     rep = differentiate(e.field, e.point, step=1e-2)
@@ -50,30 +50,7 @@ def test_differentiate_polynomial_exact():
     np.testing.assert_allclose(
         rep.hess, [[2 * y0, 2 * x0], [2 * x0, 0.0]], rtol=0, atol=1e-10
     )
-    exact_third = np.zeros((2, 2, 2))
-    for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-        exact_third[idx] = 2.0
-    np.testing.assert_allclose(rep.third, exact_third, rtol=0, atol=1e-8)
-    assert rep.est_error < 1e-8
     assert rep.step == 1e-2
-
-
-def test_differentiate_directional_third():
-    # independent check of the third-derivative tensor: contract it with
-    # a direction three times and compare against a 1-d stencil applied
-    # to t -> u(x + t v).
-    e = catalog()["poly_3d_b"]
-    rep = differentiate(e.field, e.point, step=1e-2)
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        v = rng.standard_normal(3)
-        line = lambda t: e.field.evaluator(e.point[:, None] + np.outer(v, t))
-        h = 1e-2
-        t = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-        fd3 = (line(t[3:4])[0] - 2 * line(t[2:3])[0]
-               + 2 * line(t[1:2])[0] - line(t[0:1])[0]) / (2 * h**3)
-        contracted = np.einsum("ijk,i,j,k->", rep.third, v, v, v)
-        np.testing.assert_allclose(contracted, fd3, rtol=1e-6, atol=1e-8)
 
 
 def test_differentiate_validation():
@@ -102,7 +79,6 @@ def test_scalar_only_evaluator_fallback():
     rs = differentiate(scal, pt, step=1e-2)
     np.testing.assert_allclose(rs.grad, rv.grad, rtol=0, atol=1e-13)
     np.testing.assert_allclose(rs.hess, rv.hess, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(rs.third, rv.third, rtol=0, atol=1e-13)
 
 
 def test_identity_sides_match_frozen_values():
@@ -202,7 +178,7 @@ def test_pII_chain_rule():
     u = e.field
     comp = ScalarField(2, lambda x: u.evaluator(x) ** 3 + 2.0 * u.evaluator(x))
     u0 = u(e.point)
-    rep = differentiate(u, e.point, step=5e-3, third=False)
+    rep = differentiate(u, e.point, step=5e-3)
     gn = np.linalg.norm(rep.grad)
     for p in (1.5, 2.0, 3.0):
         left = pII_at(u, comp, e.point, p, step=5e-3)
@@ -341,22 +317,18 @@ def test_degenerate_gradient_on_outer_stencil_node_rejected():
 
 
 def test_batched_derivs_match_per_point_calls():
-    # one (N, dim) call gives each row bit for bit the derivatives of a
-    # call at that row alone, and asking for the third derivatives
-    # leaves the gradient and Hessian unchanged
+    # one (N, dim) call gives each row bit for bit the gradient, Hessian
+    # and value of a call at that row alone
     rng = np.random.default_rng(11)
     for e in catalog().values():
         pts = e.point + 0.2 * rng.standard_normal((9, e.field.dim))
-        batch = B._derivs(e.field, pts, 1e-2, third=True)
+        batch = B._derivs(e.field, pts, 1e-2)
         assert [b.shape for b in batch] == [
-            (9,) + (e.field.dim,) * k for k in (1, 2, 3)]
+            (9,) + (e.field.dim,) * k for k in (1, 2, 0)]
         for row, pt in enumerate(pts):
-            single = B._derivs(e.field, pt, 1e-2, third=True)
+            single = B._derivs(e.field, pt, 1e-2)
             for b, s in zip(batch, single):
                 np.testing.assert_array_equal(b[row], s)
-            lower = B._derivs(e.field, pt, 1e-2, third=False)
-            np.testing.assert_array_equal(lower[0], single[0])
-            np.testing.assert_array_equal(lower[1], single[1])
 
 
 def test_entry_points_reject_bad_p_and_step():

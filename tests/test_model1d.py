@@ -92,7 +92,7 @@ def test_divergence_form_cross_check(p, n, a, lam):
 
 def _direct(p, n, a, alpha, h0=_DEFAULT_H0):
     """The phase integrator run at the requested alpha (no rescaling)."""
-    return _solve_phase(p, n, a, alpha, 1e-13, 1e-14, h0)
+    return _solve_phase(p, n, a, alpha, h0)
 
 
 def test_scale_covariance():
