@@ -22,14 +22,15 @@ def spow(x, e):
 
 def guarded(fn):
     """Run an entry point with numpy overflow, division by zero and
-    invalid operations (and Python float overflow) raised as ValueError."""
+    invalid operations (and Python float overflow and division by zero)
+    raised as ValueError."""
 
     @functools.wraps(fn)
     def run(*args, **kwargs):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return fn(*args, **kwargs)
-        except (FloatingPointError, OverflowError) as exc:
+        except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"{fn.__name__}: floating-point failure "
                              f"({exc})") from None
 

@@ -38,8 +38,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from ._util import as_scalar_or_array, guarded, spow
 from .model1d import INFINITY, ModelSolution, _drift
 
@@ -242,8 +242,9 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     integrator over a decreasing time span) on [a+epsilon, t0].  The
     slopes need X, so the pair (X, f) is integrated together from
     (0, f(t0)), X by its trajectory law (_x_rate) with T = -(n-1)/t in
-    closed form: one right-hand side in plain floats, DOP853 at rtol
-    1e-12 and atol 1e-13 with dense output.  The pair runs in the
+    closed form: one right-hand side in plain floats, stepped by the
+    float-native DOP853 of _dop853 (the phase solve's integrator) at
+    rtol 1e-12 and atol 1e-13 with dense output.  The pair runs in the
     normalized time alpha t, with atol and the blow-up level |f| = 1e8
     scaled as t -> alpha t scales X and f, so every lam integrates as
     lam = p - 1 does (where alpha = 1 and nothing is scaled).  The
@@ -258,13 +259,14 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     slopes at every lam (1e-6 itself at lam = p - 1, where alpha = 1).
     An offset that underflows to 0 or overflows raises ValueError.
 
-    Divergence of f inside the window, a float overflow or a
-    non-finite state in the barrier, and a side whose first step is
-    already below the float spacing at t0 (t0 near 5e11 at p = 1.5),
-    are reported as a failed certificate (all verdicts False), not an
-    exception.  A solution with a = INFINITY or n <= 1 (where the
-    slopes divide by n-1), or with lam^(1/(p-1)) = 0 in floating point
-    (p near 1), raises ValueError before any integration.
+    Divergence of f inside the window, a float overflow, a division by
+    zero or a non-finite state in the barrier, and a side whose first
+    step is already below the float spacing at t0 (t0 near 5e11 at
+    p = 1.5), are reported as a failed certificate (all verdicts
+    False), not an exception.  A solution with a = INFINITY or n <= 1
+    (where the slopes divide by n-1), or with lam^(1/(p-1)) = 0 in
+    floating point (p near 1), raises ValueError before any
+    integration.
     """
     if sol.problem.a == INFINITY:
         raise ValueError("certificates require a finite left endpoint")
@@ -292,16 +294,15 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     # alpha t scales f by alpha and X by alpha^(1/(p-1)); the tolerances
     # and the blow-up level follow those scales, so the integration is
     # the lam = p - 1 one (alpha = 1) at every lam
-    atol = np.maximum(1e-13 * np.array([alpha ** (1.0 / (p - 1.0)), alpha]),
-                      5e-324)
+    atol = [max(1e-13 * alpha ** (1.0 / (p - 1.0)), 5e-324),
+            max(1e-13 * alpha, 5e-324)]
     big = 1e8 * alpha
     calls = [0]
 
     def rhs(tau, y):
         calls[0] += 1
-        x, s = y.tolist()
-        # solve_ivp passes numpy scalars
-        tv = -(n - 1.0) / (float(tau) / alpha)
+        x, s = y
+        tv = -(n - 1.0) / (tau / alpha)
         e, be = _slopes(p, n, s, tv, math.copysign(abs(x) ** (p - 1.0), x))
         xd = _x_rate(p, lam1, x, tv)
         if not (math.isfinite(xd) and math.isfinite(e) and math.isfinite(be)):
@@ -313,19 +314,18 @@ def build_certificate(sol: ModelSolution) -> Certificate:
 
     blow.terminal = True
 
-    sides, nfev = [], []
+    sides, nfev, steps = [], [], []
     for end in (hi, lo):
         before = calls[0]
         try:
-            side = solve_ivp(rhs, (alpha * t0, alpha * end), (0.0, f0),
-                             method="DOP853",
-                             rtol=1e-12, atol=atol, dense_output=True,
-                             events=[blow])
-        except (OverflowError, FloatingPointError):
+            side = _dop853.solve(rhs, alpha * t0, alpha * end, (0.0, f0),
+                                 1e-12, atol, events=(blow,))
+        except (OverflowError, FloatingPointError, ZeroDivisionError):
             side = None
         # a solve that took no step has no dense output to read
         sides.append(side if side is not None and side.t.size > 1 else None)
         nfev.append(calls[0] - before)
+        steps.append(0 if side is None else side.steps)
     sol_f, sol_b = sides
     blew_up = any(side is None or side.status != 0 for side in sides)
 
@@ -337,11 +337,11 @@ def build_certificate(sol: ModelSolution) -> Certificate:
         if sol_f is not None:
             fwd = (t >= t0) & (tau <= sol_f.t[-1])
             if fwd.any():
-                out[:, fwd] = sol_f.sol(tau[fwd])
+                out[:, fwd] = sol_f(tau[fwd])
         if sol_b is not None:
             bwd = (t < t0) & (tau >= sol_b.t[-1])
             if bwd.any():
-                out[:, bwd] = sol_b.sol(tau[bwd])
+                out[:, bwd] = sol_b(tau[bwd])
         return out
 
     def f_eval(t):
@@ -410,6 +410,8 @@ def build_certificate(sol: ModelSolution) -> Certificate:
         "f_rhs_differenced_dev": fd_dev,
         "nfev_forward": nfev[0],
         "nfev_backward": nfev[1],
+        "steps_forward": steps[0],
+        "steps_backward": steps[1],
         "x_law_dev": x_law_dev,
     }
     return Certificate(

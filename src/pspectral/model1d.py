@@ -23,7 +23,8 @@ m_max = w(b).  One integrator serves every lam: it takes alpha as a
 parameter.  solve_model calls it at lam = p-1 (alpha = 1) and maps the
 results back through the exact scale covariance t -> alpha*t of the
 equation; the tests call it at the requested alpha to check that
-covariance.  There is one solve setting, DOP853 at rtol _RTOL = 1e-13
+covariance.  There is one solve setting, DOP853 (the float-native
+_dop853, which the certificate barrier shares) at rtol _RTOL = 1e-13
 and atol _ATOL = 1e-14 with no step cap, shared by the CLI, the
 certificate and the acceptance suite, with at most _MAX_PHASE_NFEV
 evaluations.  The laws of the model live here alone: the drift (_drift,
@@ -36,8 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from ._util import as_scalar_or_array, guarded, spow
 from .ptrig import _pval, inv_sin_p, pi_p, sin_cos_p
 
@@ -56,8 +57,8 @@ _DEFAULT_H0 = 1e-7  # first mesh point for the a = 0 start (normalized scale)
 # DOP853 step tolerances of every phase solve
 _RTOL = 1e-13
 _ATOL = 1e-14
-# Most right-hand-side evaluations of one phase solve (about 3 s); full
-# verify's solves make at most 2,174.
+# Most right-hand-side evaluations of one phase solve (about 1.6 s on a
+# 2-core x86_64 host); full verify's solves make at most 2,162.
 _MAX_PHASE_NFEV = 100_000
 # trajectory samples; they also bracket each point of w_inverse
 _N_SAMPLES = 600
@@ -195,7 +196,8 @@ class ModelSolution:
         """phi'(t) evaluated from the right-hand side of the phase equation."""
         p = self.problem.params
         s, c = sin_cos_p(self._phase_fn(t)[0], p.p)
-        out = _phase_speed(p.p, p.alpha, _drift(self.problem, t)[0], s, c)
+        out = _phase_speed(p.p, p.alpha, _drift(self.problem, t)[0], s,
+                           spow(c, p.p - 1.0))
         return as_scalar_or_array(out, np.ndim(t) == 0)
 
     def w_inverse(self, s):
@@ -263,10 +265,11 @@ def _drift(prob: ModelProblem, t):
     return tv, tv * tv / (n - 1.0)
 
 
-def _phase_speed(p, alpha, tv, s, c):
-    """phi' = alpha - T/(p-1) * cos_p^(p-1) * sin_p at drift tv and
-    (sin_p, cos_p) = (s, c) of the phase; floats or arrays."""
-    return alpha - tv / (p - 1.0) * spow(c, p - 1.0) * s
+def _phase_speed(p, alpha, tv, s, c1):
+    """phi' = alpha - T/(p-1) * cos_p^(p-1) * sin_p at drift tv, with
+    s = sin_p and c1 = cos_p^(p-1) (the signed power) of the phase;
+    floats or arrays."""
+    return alpha - tv / (p - 1.0) * c1 * s
 
 
 def _phase_rhs(p: float, n: float, alpha: float):
@@ -282,7 +285,8 @@ def _phase_rhs(p: float, n: float, alpha: float):
                                f"evaluations")
         s, c = sin_cos_p(y[0], p)
         tv = -(n - 1.0) / t
-        return [_phase_speed(p, alpha, tv, s, c), tv * abs(c) ** p / (p - 1.0)]
+        c1 = math.copysign(abs(c) ** (p - 1.0), c)
+        return [_phase_speed(p, alpha, tv, s, c1), tv * abs(c) ** p / (p - 1.0)]
 
     return rhs
 
@@ -291,10 +295,13 @@ def _solve_phase(p, n, a, alpha, h0):
     """Integrate the phase system at scale alpha from a to the first
     phi = pi_p/2.
 
-    DOP853's 7th-order dense output is what the certificate's
-    finite-difference probes (a3 residual, kappa rate) differentiate;
-    it is smooth enough for them without a step cap.  Returns
-    (b, t0, log_m, dense) in the time scale of alpha.
+    The right-hand side runs on Python floats and _dop853.solve steps
+    it without numpy; the events locate t0 (phi = 0) and the terminal
+    b (phi = pi_p/2).  DOP853's 7th-order dense output is what the
+    certificate's finite-difference probes (a3 residual, kappa rate)
+    differentiate; it is smooth enough for them without a step cap.
+    Returns (b, t0, log_m, dense) in the time scale of alpha, dense the
+    _dop853.Solution, callable on arrays of times.
     """
     hp = 0.5 * pi_p(p)
     if a > 0.0:
@@ -315,16 +322,10 @@ def _solve_phase(p, n, a, alpha, h0):
     ev_top.terminal = True
     ev_top.direction = 1.0
 
-    rhs = _phase_rhs(p, n, alpha)
-    if not all(map(math.isfinite, rhs(t_start, y0))):
-        # solve_ivp's step-size search never ends on a non-finite slope
-        raise ValueError(f"the phase equation is not finite at its start, "
-                         f"normalized time {t_start!r} (drift -(n-1)/t = "
-                         f"{-(n - 1.0) / t_start!r})")
     t_max = max(a, t_start) + 1.05 * n * 2.0 * hp / alpha + 1.0
-    sol = solve_ivp(rhs, (t_start, t_max), y0,
-                    method="DOP853", events=[ev_zero, ev_top],
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
+    # a slope that is not finite at the start raises FloatingPointError
+    sol = _dop853.solve(_phase_rhs(p, n, alpha), t_start, t_max, y0, _RTOL,
+                        _ATOL, events=(ev_zero, ev_top))
     if len(sol.t_events[1]) == 0:
         raise RuntimeError(
             f"phase never reached pi_p/2 before t = {t_max:.3g} "
@@ -332,9 +333,9 @@ def _solve_phase(p, n, a, alpha, h0):
         )
     if len(sol.t_events[0]) == 0:
         raise RuntimeError("zero of w not located before the critical point")
-    b_n = float(sol.t_events[1][0])
-    t0_n = float(sol.t_events[0][0])
-    log_m = float(sol.y_events[1][0][1])
+    b_n = sol.t_events[1][0]
+    t0_n = sol.t_events[0][0]
+    log_m = sol.y_events[1][0][1]
     return b_n, t0_n, log_m, sol
 
 
@@ -386,7 +387,8 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
     except RuntimeError as exc:
         raise RuntimeError(f"solve_model at p = {p!r}, n = {n!r}, "
                            f"a = {prob.a!r}: {exc}") from None
-    diagnostics = {"nfev": int(dense.nfev), "closed_form": False}
+    diagnostics = {"nfev": dense.nfev, "steps": dense.steps,
+                   "rejected": dense.rejected, "closed_form": False}
 
     t_lo, t_hi = dense.t[0], dense.t[-1]
     frozen_start = prob.a == 0.0
@@ -394,7 +396,7 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
     def phase_fn(t, _d=dense, _s=scale, _lo=t_lo, _hi=t_hi, _la=math.log(alpha)):
         arr = np.asarray(t, dtype=float)
         tau = arr * _s
-        phi, log_e = _d.sol(np.clip(tau, _lo, _hi))
+        phi, log_e = _d(np.clip(tau, _lo, _hi))
         if frozen_start:
             # a = 0: before the solve starts at tau = h0 the phase follows
             # the frozen first step phi = -pi_p/2 + tau/n, log e = 0

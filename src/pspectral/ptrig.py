@@ -295,14 +295,14 @@ def sin_cos_p(x, p):
     solves on [0, pi_p/2] by betaincinv and two safeguarded Newton
     steps (see _principal_sin_cos).
 
-    A 0-d input (a Python float or a numpy scalar, as an ODE right-hand
-    side passes) takes a kernel on Python floats and returns two floats;
-    any other input takes the vectorized path and returns two arrays.
-    Both run the same algorithm, agree bit for bit on every point tested
-    and read the same cached per-p constants (pi_p, 1/p, 1 - 1/p and
-    B(1/p, 1 - 1/p)), so a value does not depend on the path.  p is
-    validated on every call, and rejected where B overflows.  Non-finite
-    x gives NaN.
+    A 0-d input (a Python float, as the phase solve's right-hand side
+    passes, or a numpy scalar) takes a kernel on Python floats and
+    returns two floats; any other input takes the vectorized path and
+    returns two arrays.  Both run the same algorithm, agree bit for bit
+    on every point tested and read the same cached per-p constants
+    (pi_p, 1/p, 1 - 1/p and B(1/p, 1 - 1/p)), so a value does not
+    depend on the path.  p is validated on every call, and rejected
+    where B overflows.  Non-finite x gives NaN.
     """
     pv = _pval(p)
     pp, _, _, beta_ab, _ = _p_constants(pv)

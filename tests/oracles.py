@@ -10,6 +10,8 @@ replaced: descend_reference, the variational solver's per-level descent
 in its original arithmetic, against which the library's lean inner loop
 is checked bit for bit; and barrier_reference, the certificate barrier
 integrated alone with X read from the phase solution at every step.
+dop853_reference runs scipy's own DOP853 on a problem handed to the
+package's float-native integrator (pspectral._dop853.solve).
 """
 
 from __future__ import annotations
@@ -352,3 +354,24 @@ def descend_reference(dom, v, p, cap, tol=1e-10, stall_window=50,
             stopped = "stall"
             break
     return v, lam, it, stopped
+
+
+def dop853_reference(fun, t0, t_bound, y0, rtol, atol, events=()):
+    """scipy's solve_ivp(method="DOP853") with dense output on the
+    arguments of a pspectral._dop853.solve call: fun and the events
+    take (t, list of floats), as that integrator passes them."""
+
+    def wrap(ev):
+        def g(t, y):
+            return ev(t, y.tolist())
+
+        g.terminal = getattr(ev, "terminal", False)
+        g.direction = getattr(ev, "direction", 0.0)
+        return g
+
+    return solve_ivp(lambda t, y: fun(t, y.tolist()), (t0, t_bound),
+                     np.asarray(y0, dtype=float),
+                     method="DOP853", rtol=rtol, atol=np.asarray(atol),
+                     events=[wrap(ev) for ev in events] or None,
+                     dense_output=True)
+

@@ -399,10 +399,14 @@ def test_law_x_matches_the_phase_solution(known_certs, case):
 
 # The first 60 points of the seeded sweep over the paper's range that
 # fail the certificate or kappa_check's bounds.  All but 30 fail only
-# `ordering` (every one at p > 5); 58 fails only `a3_small` (p = 1.204);
-# 30 = (1.785, 7.49, 0.071) fails all four verdicts, where the barrier
-# blows up.  A fix shrinks this set; no bound may widen to empty it.
-_SWEEP_FAILURES = {5, 6, 10, 11, 15, 30, 31, 32, 35, 38, 58, 59}
+# `ordering` (every one at p > 5); 30 = (1.785, 7.49, 0.071) fails all
+# four verdicts, where the barrier blows up.  A fix shrinks this set; no
+# bound may widen to empty it.  Point 58 (p = 1.204) sits on a rounding
+# edge and is left out: its a3 residual peaks at the grid point t0, where
+# |w|^(p-1) lifts the rounding residual of w(t0) to the power 0.204.
+# A w(t0) of 4.4e-17 gave max|a3| = 6.9e-5 and failed `a3_small`; a w(t0)
+# that rounds to 0 gives 3.6e-7 and passes.
+_SWEEP_FAILURES = {5, 6, 10, 11, 15, 30, 31, 32, 35, 38, 59}
 
 
 def test_certificate_sweep_over_the_paper_range():

@@ -106,7 +106,7 @@ def test_scale_covariance():
         assert abs(s1.t0 - t0) < 1e-8
         assert abs(s1.m_max - math.exp(log_m)) < 1e-8
         ts = np.linspace(s1.t0, min(s1.b, b), 20)
-        phi, log_e = dense.sol(ts)
+        phi, log_e = dense(ts)
         # w = e sin_p(phi)/alpha, and the direct log e starts at 0 = log(e(a)/alpha)
         assert np.max(np.abs(s1.w(ts) - np.exp(log_e) * sin_p(phi, p))) < 1e-8
 
