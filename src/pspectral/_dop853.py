@@ -1,23 +1,11 @@
-"""Float-native DOP853 for the small ODE systems of the phase solve
-(model1d) and the certificate barrier (comparison).
-
-A step-for-step port of scipy 1.17.1's DOP853 as solve_ivp runs it with
-dense output and events: Dormand-Prince 8(5,3) with its 7th-order dense
-output (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6), with
-scipy's tableau, error norm (E5 and E3 combined), step rule (factor
-0.9 err^(-1/8) in [0.2, 10], at most 1 right after a rejection), first
-step, and event location (brentq on the step's dense output at
-xtol = rtol = 4 eps).  States are lists of floats, so a step makes no
-numpy call; the dense output keeps every step's 7 rows in one array.
-Each sum of stage products is correctly rounded (math.fsum) where
-scipy's go through BLAS, so the two round differently; where the error
-test is bound by noise in fun their step sequences can part.
+"""Float-native DOP853 for small ODE systems: a port of scipy's DOP853 as
+solve_ivp runs it with dense output and events (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5 and II.6), on lists of Python floats.
 
 fun(t, y) takes a float and a list of floats and returns a sequence of
-floats; what it raises propagates.  Python floats overflow to inf
-silently, so a non-finite start slope, first-step estimate, stage sum
-or error estimate raises FloatingPointError, as numpy does under the
-errstate of every guarded caller.
+floats; what it raises propagates.  A non-finite start slope, first-step
+estimate, stage sum or error estimate raises FloatingPointError, as
+numpy does under the errstate of every guarded caller.
 """
 
 from __future__ import annotations

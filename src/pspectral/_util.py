@@ -11,8 +11,11 @@ import numpy as np
 def spow(x, e):
     """Signed power sign(x)*|x|**e, the odd extension of x**e.
 
-    Works on scalars and arrays; spow(0, e) = 0 for e > 0.
+    Works on scalars and arrays; spow(0, e) = 0 for e > 0.  A Python
+    float takes plain float arithmetic (an ODE right-hand side's path).
     """
+    if type(x) is float:
+        return math.copysign(abs(x) ** e, x)
     arr = np.asarray(x, dtype=float)
     out = np.sign(arr) * np.abs(arr) ** e
     if arr.ndim == 0:

@@ -242,9 +242,8 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     integrator over a decreasing time span) on [a+epsilon, t0].  The
     slopes need X, so the pair (X, f) is integrated together from
     (0, f(t0)), X by its trajectory law (_x_rate) with T = -(n-1)/t in
-    closed form: one right-hand side in plain floats, stepped by the
-    float-native DOP853 of _dop853 (the phase solve's integrator) at
-    rtol 1e-12 and atol 1e-13 with dense output.  The pair runs in the
+    closed form: one right-hand side in plain floats, _dop853 at rtol
+    1e-12 and atol 1e-13 with dense output.  The pair runs in the
     normalized time alpha t, with atol and the blow-up level |f| = 1e8
     scaled as t -> alpha t scales X and f, so every lam integrates as
     lam = p - 1 does (where alpha = 1 and nothing is scaled).  The
@@ -303,7 +302,7 @@ def build_certificate(sol: ModelSolution) -> Certificate:
         calls[0] += 1
         x, s = y
         tv = -(n - 1.0) / (tau / alpha)
-        e, be = _slopes(p, n, s, tv, math.copysign(abs(x) ** (p - 1.0), x))
+        e, be = _slopes(p, n, s, tv, spow(x, p - 1.0))
         xd = _x_rate(p, lam1, x, tv)
         if not (math.isfinite(xd) and math.isfinite(e) and math.isfinite(be)):
             raise OverflowError("barrier state left the float range")

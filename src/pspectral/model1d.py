@@ -57,7 +57,7 @@ _DEFAULT_H0 = 1e-7  # first mesh point for the a = 0 start (normalized scale)
 # DOP853 step tolerances of every phase solve
 _RTOL = 1e-13
 _ATOL = 1e-14
-# Most right-hand-side evaluations of one phase solve (about 1.6 s on a
+# Most right-hand-side evaluations of one phase solve (1.6-2.7 s on a
 # 2-core x86_64 host); full verify's solves make at most 2,162.
 _MAX_PHASE_NFEV = 100_000
 # trajectory samples; they also bracket each point of w_inverse
@@ -196,8 +196,7 @@ class ModelSolution:
         """phi'(t) evaluated from the right-hand side of the phase equation."""
         p = self.problem.params
         s, c = sin_cos_p(self._phase_fn(t)[0], p.p)
-        out = _phase_speed(p.p, p.alpha, _drift(self.problem, t)[0], s,
-                           spow(c, p.p - 1.0))
+        out = _phase_speed(p.p, p.alpha, _drift(self.problem, t)[0], s, c)
         return as_scalar_or_array(out, np.ndim(t) == 0)
 
     def w_inverse(self, s):
@@ -265,11 +264,10 @@ def _drift(prob: ModelProblem, t):
     return tv, tv * tv / (n - 1.0)
 
 
-def _phase_speed(p, alpha, tv, s, c1):
-    """phi' = alpha - T/(p-1) * cos_p^(p-1) * sin_p at drift tv, with
-    s = sin_p and c1 = cos_p^(p-1) (the signed power) of the phase;
-    floats or arrays."""
-    return alpha - tv / (p - 1.0) * c1 * s
+def _phase_speed(p, alpha, tv, s, c):
+    """phi' = alpha - T/(p-1) * cos_p^(p-1) * sin_p at drift tv and
+    (sin_p, cos_p) = (s, c) of the phase; floats or arrays."""
+    return alpha - tv / (p - 1.0) * spow(c, p - 1.0) * s
 
 
 def _phase_rhs(p: float, n: float, alpha: float):
@@ -285,8 +283,7 @@ def _phase_rhs(p: float, n: float, alpha: float):
                                f"evaluations")
         s, c = sin_cos_p(y[0], p)
         tv = -(n - 1.0) / t
-        c1 = math.copysign(abs(c) ** (p - 1.0), c)
-        return [_phase_speed(p, alpha, tv, s, c1), tv * abs(c) ** p / (p - 1.0)]
+        return [_phase_speed(p, alpha, tv, s, c), tv * abs(c) ** p / (p - 1.0)]
 
     return rhs
 
@@ -295,13 +292,12 @@ def _solve_phase(p, n, a, alpha, h0):
     """Integrate the phase system at scale alpha from a to the first
     phi = pi_p/2.
 
-    The right-hand side runs on Python floats and _dop853.solve steps
-    it without numpy; the events locate t0 (phi = 0) and the terminal
-    b (phi = pi_p/2).  DOP853's 7th-order dense output is what the
-    certificate's finite-difference probes (a3 residual, kappa rate)
-    differentiate; it is smooth enough for them without a step cap.
-    Returns (b, t0, log_m, dense) in the time scale of alpha, dense the
-    _dop853.Solution, callable on arrays of times.
+    Events locate t0 (phi = 0) and the terminal b (phi = pi_p/2).
+    DOP853's 7th-order dense output is what the certificate's
+    finite-difference probes (a3 residual, kappa rate) differentiate;
+    it is smooth enough for them without a step cap.  Returns
+    (b, t0, log_m, dense) in the time scale of alpha, dense the
+    _dop853.Solution.
     """
     hp = 0.5 * pi_p(p)
     if a > 0.0:
