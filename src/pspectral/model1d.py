@@ -19,11 +19,10 @@ into the first-order system
 
 The module locates the first critical point b (phi = pi_p/2), the zero
 t0 of w (phi = 0), and reports delta = b - a and the terminal maximum
-m_max = w(b).  One integrator serves every lam: it takes alpha as a
-parameter.  solve_model calls it at lam = p-1 (alpha = 1) and maps the
-results back through the exact scale covariance t -> alpha*t of the
-equation; the tests call it at the requested alpha to check that
-covariance.  There is one solve setting, DOP853 (the float-native
+m_max = w(b).  The phase system is integrated at lam = p-1 (alpha = 1)
+only; solve_model maps its results to the requested lam through the
+exact scale covariance t -> alpha*t of the equation.  There is one
+solve setting, DOP853 (the float-native
 _dop853, which the certificate barrier shares) at rtol _RTOL = 1e-13
 and atol _ATOL = 1e-14 with no step cap, shared by the CLI, the
 certificate and the acceptance suite, with at most _MAX_PHASE_NFEV
@@ -53,7 +52,7 @@ __all__ = [
 
 INFINITY = math.inf
 
-_DEFAULT_H0 = 1e-7  # first mesh point for the a = 0 start (normalized scale)
+_H0 = 1e-7  # first mesh point for the a = 0 start (normalized scale)
 # DOP853 step tolerances of every phase solve
 _RTOL = 1e-13
 _ATOL = 1e-14
@@ -270,9 +269,9 @@ def _phase_speed(p, alpha, tv, s, c):
     return alpha - tv / (p - 1.0) * spow(c, p - 1.0) * s
 
 
-def _phase_rhs(p: float, n: float, alpha: float):
-    """Right-hand side of the phase system at scale alpha; its evaluation
-    _MAX_PHASE_NFEV + 1 raises RuntimeError."""
+def _phase_rhs(p: float, n: float):
+    """Right-hand side of the phase system at lam = p-1 (alpha = 1); its
+    evaluation _MAX_PHASE_NFEV + 1 raises RuntimeError."""
     nfev = [0]
 
     def rhs(t, y):
@@ -283,29 +282,29 @@ def _phase_rhs(p: float, n: float, alpha: float):
                                f"evaluations")
         s, c = sin_cos_p(y[0], p)
         tv = -(n - 1.0) / t
-        return [_phase_speed(p, alpha, tv, s, c), tv * abs(c) ** p / (p - 1.0)]
+        return [_phase_speed(p, 1.0, tv, s, c), tv * abs(c) ** p / (p - 1.0)]
 
     return rhs
 
 
-def _solve_phase(p, n, a, alpha, h0):
-    """Integrate the phase system at scale alpha from a to the first
-    phi = pi_p/2.
+def _solve_phase(p, n, a):
+    """Integrate the phase system at lam = p-1 (alpha = 1) from a to
+    the first phi = pi_p/2; a and the results are in the normalized time
+    alpha*t of every lam, and a = 0 starts at _H0.
 
     Events locate t0 (phi = 0) and the terminal b (phi = pi_p/2).
     DOP853's 7th-order dense output is what the certificate's
     finite-difference probes (a3 residual, kappa rate) differentiate;
     it is smooth enough for them without a step cap.  Returns
-    (b, t0, log_m, dense) in the time scale of alpha, dense the
-    _dop853.Solution.
+    (b, t0, log_m, dense), dense the _dop853.Solution.
     """
     hp = 0.5 * pi_p(p)
     if a > 0.0:
         t_start, y0 = a, [-hp, 0.0]
     else:
         # The drift term is 0/0 at t = 0: freeze the first step at the
-        # limiting rate phi'(0) = alpha/n, starting from t = h0/alpha.
-        t_start, y0 = h0 / alpha, [-hp + h0 / n, 0.0]
+        # limiting rate phi'(0) = 1/n, starting from t = _H0.
+        t_start, y0 = _H0, [-hp + _H0 / n, 0.0]
 
     def ev_zero(t, y):
         return y[0]
@@ -318,9 +317,9 @@ def _solve_phase(p, n, a, alpha, h0):
     ev_top.terminal = True
     ev_top.direction = 1.0
 
-    t_max = max(a, t_start) + 1.05 * n * 2.0 * hp / alpha + 1.0
+    t_max = max(a, t_start) + 1.05 * n * 2.0 * hp + 1.0
     # a slope that is not finite at the start raises FloatingPointError
-    sol = _dop853.solve(_phase_rhs(p, n, alpha), t_start, t_max, y0, _RTOL,
+    sol = _dop853.solve(_phase_rhs(p, n), t_start, t_max, y0, _RTOL,
                         _ATOL, events=(ev_zero, ev_top))
     if len(sol.t_events[1]) == 0:
         raise RuntimeError(
@@ -378,8 +377,7 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
 
     scale = alpha  # normalized time is alpha * t
     try:
-        b_n, t0_n, log_m, dense = _solve_phase(p, n, prob.a * scale, 1.0,
-                                               _DEFAULT_H0)
+        b_n, t0_n, log_m, dense = _solve_phase(p, n, prob.a * scale)
     except RuntimeError as exc:
         raise RuntimeError(f"solve_model at p = {p!r}, n = {n!r}, "
                            f"a = {prob.a!r}: {exc}") from None
@@ -394,7 +392,7 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
         tau = arr * _s
         phi, log_e = _d(np.clip(tau, _lo, _hi))
         if frozen_start:
-            # a = 0: before the solve starts at tau = h0 the phase follows
+            # a = 0: before the solve starts at tau = _H0 the phase follows
             # the frozen first step phi = -pi_p/2 + tau/n, log e = 0
             early = tau < _lo
             phi = np.where(early, -hp + np.maximum(tau, 0.0) / n, phi)

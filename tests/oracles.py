@@ -12,6 +12,8 @@ is checked bit for bit; and barrier_reference, the certificate barrier
 integrated alone with X read from the phase solution at every step.
 dop853_reference runs scipy's own DOP853 on a problem handed to the
 package's float-native integrator (pspectral._dop853.solve).
+paper_sweep draws the seeded sweep over the paper's range that the
+model and certificate tests share.
 """
 
 from __future__ import annotations
@@ -24,34 +26,42 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 
+# offset from a of the divergence-form oracle's start
+_SERIES_H = 1e-8
+
+
 def spow(x, e):
     return np.sign(x) * np.abs(x) ** e
 
 
-def solve_divergence_form(p, n, a, lam, h0=1e-6, rtol=1e-11, atol=1e-13):
+def solve_divergence_form(p, n, a, lam):
     """Integrate d/dt(t^(n-1) * v) = -lam * t^(n-1) * w^(p-1) directly.
 
-    State (w, v) with v = wdot^(p-1); starts from a truncated series
-    around t = a (or t = 0) and returns (b, t_zero, m_max) where b is
-    the first critical point v = 0, t_zero the zero of w, and m_max =
-    w(b).  Completely independent of the phase/amplitude route.
+    State (w, v) with v = wdot^(p-1), the half-linear form of the model
+    equation; no p-trigonometric function enters.  scipy's DOP853 at
+    rtol 1e-12, atol 1e-13 starts at a + _SERIES_H (or at _SERIES_H for
+    a = 0) from the leading term of the series around the start, and
+    stops at the first critical point v = 0.  Returns (b, t_zero, m_max,
+    w): b, the zero t_zero of w, m_max = w(b), and w(ts), which gives w
+    at times ts in [a, b] from the series before the start and from the
+    dense output after it.
     """
+    e = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
+    if a > 0.0:
+        # v(a + h) = lam h, w(a + h) = -1 + lam^e h^q / q
+        c = lam**e / q
+        v0 = lam * _SERIES_H
+    else:
+        # v(h) = lam h / n, w(h) = -1 + (lam / n)^e h^q / q
+        c = (lam / n) ** e / q
+        v0 = lam * _SERIES_H / n
+    t_start = a + _SERIES_H
 
     def rhs(t, y):
-        w, v = y
-        wd = spow(v, 1.0 / (p - 1.0))
-        vd = -(n - 1.0) * v / t - lam * spow(w, p - 1.0)
-        return [wd, vd]
-
-    if a > 0.0:
-        t_start = a + h0
-        v0 = lam * h0
-        w0 = -1.0 + (p - 1.0) / p * lam ** (1.0 / (p - 1.0)) * h0**q
-    else:
-        t_start = h0
-        v0 = lam * h0 / n
-        w0 = -1.0 + (lam / n) ** (1.0 / (p - 1.0)) * h0**q * (p - 1.0) / p
+        w, v = y.tolist()
+        return [math.copysign(abs(v) ** e, v),
+                -(n - 1.0) * v / t - lam * math.copysign(abs(w) ** (p - 1.0), w)]
 
     def ev_zero(t, y):
         return y[0]
@@ -64,24 +74,37 @@ def solve_divergence_form(p, n, a, lam, h0=1e-6, rtol=1e-11, atol=1e-13):
     ev_crit.direction = -1.0
     ev_crit.terminal = True
 
+    # pi_p = 2 pi / (p sin(pi/p)) bounds the driftless window; the phase
+    # speed alpha/n at least, so b - a <= n pi_p / alpha
     alpha = (lam / (p - 1.0)) ** (1.0 / p)
-    t_max = max(a, 1.0) + 3.0 * 2.0 * np.pi / alpha + 10.0
-    sol = solve_ivp(
-        rhs,
-        (t_start, t_max),
-        [w0, v0],
-        events=[ev_zero, ev_crit],
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        max_step=0.05 / alpha,
-    )
-    if len(sol.t_events[1]) == 0:
+    pi_p = 2.0 * math.pi / (p * math.sin(math.pi * (p - 1.0) / p))
+    t_max = t_start + 2.0 * n * pi_p / alpha + 10.0
+    sol = solve_ivp(rhs, (t_start, t_max), [-1.0 + c * _SERIES_H**q, v0],
+                    method="DOP853", events=[ev_zero, ev_crit], rtol=1e-12,
+                    atol=1e-13, dense_output=True)
+    if len(sol.t_events[1]) == 0 or len(sol.t_events[0]) == 0:
         raise RuntimeError("no critical point found by divergence-form oracle")
     b = float(sol.t_events[1][0])
-    t_zero = float(sol.t_events[0][0])
-    m_max = float(sol.y_events[1][0][0])
-    return b, t_zero, m_max
+
+    def w_of(ts):
+        ts = np.asarray(ts, dtype=float)
+        series = -1.0 + c * np.maximum(ts - a, 0.0) ** q
+        return np.where(ts < t_start, series,
+                        sol.sol(np.clip(ts, t_start, b))[0])
+
+    return b, float(sol.t_events[0][0]), float(sol.y_events[1][0][0]), w_of
+
+
+def paper_sweep(count):
+    """The first count of 120 seeded draws (p, n, a), as floats: p
+    log-uniform in [1.2, 8], n uniform in [2, 8], a log-uniform in
+    [0.05, 100]."""
+    rng = np.random.default_rng(2026)
+    ps = np.exp(rng.uniform(math.log(1.2), math.log(8.0), 120))
+    ns = rng.uniform(2.0, 8.0, 120)
+    avals = np.exp(rng.uniform(math.log(0.05), math.log(100.0), 120))
+    return [tuple(map(float, case))
+            for case in zip(ps[:count], ns[:count], avals[:count])]
 
 
 def barrier_reference(sol, epsilon, offset, ts):

@@ -35,7 +35,7 @@ from pspectral.comparison import (
     reconstruct_psi,
 )
 
-from oracles import barrier_reference
+from oracles import barrier_reference, paper_sweep
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -410,17 +410,12 @@ _SWEEP_FAILURES = {5, 6, 10, 11, 15, 30, 31, 32, 35, 38, 59}
 
 
 def test_certificate_sweep_over_the_paper_range():
-    # p log-uniform in [1.2, 8], n uniform in [2, 8], a log-uniform in
-    # [0.05, 100]: 120 draws each, of which the first 60 are checked
-    rng = np.random.default_rng(2026)
-    ps = np.exp(rng.uniform(math.log(1.2), math.log(8.0), 120))
-    ns = rng.uniform(2.0, 8.0, 120)
-    avals = np.exp(rng.uniform(math.log(0.05), math.log(100.0), 120))
+    # the first 60 of the 120 seeded draws over the paper's range
     gates = verify.GATES[6]
     cache = verify.Cache()
     failed = set()
-    for i, case in enumerate(zip(ps[:60], ns[:60], avals[:60])):
-        cert = cache.certificate(*map(float, case))
+    for i, case in enumerate(paper_sweep(60)):
+        cert = cache.certificate(*case)
         kk = kappa_check(cert)
         if not (all(cert.verdict.values())
                 and kk["kappa_t0_rel_err"] <= gates["kappa_t0_rel"][1]

@@ -127,7 +127,7 @@ def test_float_exception_in_the_phase_solve_is_a_value_error(monkeypatch, exc):
     # the integrator as it came and solve_model's guard reports it
     monkeypatch.setattr(model1d, "_phase_speed", _failing_phase_speed(exc, 200))
     with pytest.raises(exc):
-        model1d._solve_phase(2.0, 3.0, 1.0, 1.0, model1d._DEFAULT_H0)
+        model1d._solve_phase(2.0, 3.0, 1.0)
     with pytest.raises(ValueError, match="floating-point failure"):
         solve_model(ModelProblem(PParams(2.0, 3.0), 1.0))
 
