@@ -192,10 +192,27 @@ def test_kappa_check_report(ref_cert):
 def test_a3_residual_small(ref_cert, ref_sol):
     worst = np.max(np.abs(ref_cert.grid["a3_residual"]))
     assert worst < 1e-6
-    # at t0 the w-terms vanish but the formula needs no special casing
+    # at t0 the w-term is 0 and the residual stays small
     assert abs(a3_residual(ref_sol, ref_sol.t0)) < 1e-6
     with pytest.raises(ValueError):
         a3_residual(ref_sol, ref_sol.a_eff)
+
+
+def test_a3_residual_takes_w_as_zero_at_t0():
+    # sweep point 58, (1.204, 6.87, 2.41): |w|^(p-1) lifts a rounding
+    # residual of 1e-17 in w(t0) to 3e-4 of lam, so a3_small failed
+    # whenever w(t0) did not round to 0
+    cert = verify.Cache().certificate(*paper_sweep(60)[58])
+    assert cert.verdict["a3_small"]
+    sol = cert.solution
+    nudged = copy.copy(sol)
+
+    def state(t):
+        w, wdot = sol.state(t)
+        return w + 1e-17, wdot
+
+    nudged.state = state
+    assert a3_residual(nudged, sol.t0) == a3_residual(sol, sol.t0)
 
 
 def test_a3_residual_array_matches_scalar(ref_sol):
@@ -401,11 +418,10 @@ def test_law_x_matches_the_phase_solution(known_certs, case):
 # fail the certificate or kappa_check's bounds.  All but 30 fail only
 # `ordering` (every one at p > 5); 30 = (1.785, 7.49, 0.071) fails all
 # four verdicts, where the barrier blows up.  A fix shrinks this set; no
-# bound may widen to empty it.  Point 58 (p = 1.204) sits on a rounding
-# edge and is left out: its a3 residual peaks at the grid point t0, where
-# |w|^(p-1) lifts the rounding residual of w(t0) to the power 0.204.
-# A w(t0) of 4.4e-17 gave max|a3| = 6.9e-5 and failed `a3_small`; a w(t0)
-# that rounds to 0 gives 3.6e-7 and passes.
+# bound may widen to empty it.  Point 58 (p = 1.204) passes: a3_residual
+# takes w = 0 exactly at the grid point t0, so the rounding residual of
+# w(t0), lifted to the power 0.204, no longer decides `a3_small` there
+# (test_a3_residual_takes_w_as_zero_at_t0).
 _SWEEP_FAILURES = {5, 6, 10, 11, 15, 30, 31, 32, 35, 38, 59}
 
 
