@@ -1,6 +1,8 @@
-"""The verdict rule of tools/bench_pairs.py on made-up paired runs."""
+"""The verdict rule of tools/bench_pairs.py on made-up paired runs, and
+its clean start of both checkouts."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -84,3 +86,35 @@ def test_higher_is_better_metrics():
     assert (s["change_wins"], s["verdict"]) == (0, "worse")
     s = _summary([0.88] * 10, par=par, better="higher", bound=0.05)
     assert s["verdict"] == "within bound"
+
+
+def _checkout(root):
+    for sub in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__",
+                "perfbench/__pycache__"):
+        (root / sub).mkdir(parents=True)
+        (root / sub / "mod.cpython-311.pyc").write_bytes(b"")
+    (root / "src/pkg/mod.py").write_text("")
+    return root
+
+
+def test_both_checkouts_start_without_cached_bytecode(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent")
+    change = _checkout(tmp_path / "change")
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    seen = []
+
+    def run_side(root, workload, seed, seconds):
+        # no side finds bytecode under src/, from the first pair on
+        seen.append(sorted(str(c.relative_to(root))
+                           for c in root.rglob("__pycache__")))
+        return {"failed": 0, "attempted": 1, "wall_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seed", "1", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    assert seen == [["perfbench/__pycache__"]] * 4
+    assert (parent / "src/pkg/mod.py").is_file()

@@ -3,8 +3,11 @@
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \
         --seed S [--pairs 10] --out BENCH_<pr>.json
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, one
-after the other, for the `run_seconds` that the change's BENCHMARK.json
+Each checkout's cached bytecode under `src/` is removed first: the
+workers run with PYTHONDONTWRITEBYTECODE=1, so a side that kept its
+`__pycache__` would skip the compile that the other side pays at every
+worker start.  Each pair then runs `perfbench/run.py --trace 0` once in
+each checkout, one after the other, for the `run_seconds` that the change's BENCHMARK.json
 fixes; the side that runs first alternates from pair to pair, so a
 slow drift of the host's speed falls on both sides alike.  Every run is
 one JSON line of end-to-end metrics (the last line of its stdout).  The
@@ -31,10 +34,17 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def clear_bytecode(root: Path) -> None:
+    """Remove every `__pycache__` directory under root/src."""
+    for cache in list((root / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -114,6 +124,8 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for root in sides.values():
+        clear_bytecode(root)
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
