@@ -74,8 +74,8 @@ def solve_divergence_form(p, n, a, lam):
     ev_crit.direction = -1.0
     ev_crit.terminal = True
 
-    # pi_p = 2 pi / (p sin(pi/p)) bounds the driftless window; the phase
-    # speed alpha/n at least, so b - a <= n pi_p / alpha
+    # the phase speed is at least alpha/n, so b - a <= n pi_p / alpha
+    # with pi_p = 2 pi / (p sin(pi/p))
     alpha = (lam / (p - 1.0)) ** (1.0 / p)
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi * (p - 1.0) / p))
     t_max = t_start + 2.0 * n * pi_p / alpha + 10.0
