@@ -22,12 +22,12 @@ t0 of w (phi = 0), and reports delta = b - a and the terminal maximum
 m_max = w(b).  The phase system is integrated at lam = p-1 (alpha = 1)
 only; solve_model maps its results to the requested lam through the
 exact scale covariance t -> alpha*t of the equation.  There is one
-solve setting, DOP853 (the float-native
-_dop853, which the certificate barrier shares) at rtol _RTOL = 1e-13
-and atol _ATOL = 1e-14 with no step cap, shared by the CLI, the
-certificate and the acceptance suite, with at most _MAX_PHASE_NFEV
-evaluations.  The laws of the model live here alone: the drift (_drift,
-which comparison reads) and the phase speed (_phase_speed).
+solve setting, DOP853 (the float-native _dop853, which the certificate
+barrier shares) at rtol _RTOL = 1e-13 and atol _ATOL = 1e-14 with no
+step cap, shared by the CLI, the certificate and the acceptance suite,
+with at most _MAX_PHASE_NFEV evaluations.  The laws of the model live
+here alone: the drift (_drift, which comparison reads) and the phase
+speed (_phase_speed).
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def _solve_phase(p, n, a):
     ev_top.terminal = True
     ev_top.direction = 1.0
 
-    t_max = max(a, t_start) + 1.05 * n * 2.0 * hp + 1.0
+    t_max = t_start + 1.05 * n * 2.0 * hp + 1.0
     # a slope that is not finite at the start raises FloatingPointError
     sol = _dop853.solve(_phase_rhs(p, n), t_start, t_max, y0, _RTOL,
                         _ATOL, events=(ev_zero, ev_top))
@@ -328,10 +328,7 @@ def _solve_phase(p, n, a):
         )
     if len(sol.t_events[0]) == 0:
         raise RuntimeError("zero of w not located before the critical point")
-    b_n = sol.t_events[1][0]
-    t0_n = sol.t_events[0][0]
-    log_m = sol.y_events[1][0][1]
-    return b_n, t0_n, log_m, sol
+    return sol.t_events[1][0], sol.t_events[0][0], sol.y_events[1][0][1], sol
 
 
 # Largest phase error accepted at the located critical point b, relative
@@ -375,9 +372,8 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
             diagnostics={"closed_form": True},
         )
 
-    scale = alpha  # normalized time is alpha * t
-    try:
-        b_n, t0_n, log_m, dense = _solve_phase(p, n, prob.a * scale)
+    try:  # in the normalized time alpha * t
+        b_n, t0_n, log_m, dense = _solve_phase(p, n, prob.a * alpha)
     except RuntimeError as exc:
         raise RuntimeError(f"solve_model at p = {p!r}, n = {n!r}, "
                            f"a = {prob.a!r}: {exc}") from None
@@ -387,7 +383,7 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
     t_lo, t_hi = dense.t[0], dense.t[-1]
     frozen_start = prob.a == 0.0
 
-    def phase_fn(t, _d=dense, _s=scale, _lo=t_lo, _hi=t_hi, _la=math.log(alpha)):
+    def phase_fn(t, _d=dense, _s=alpha, _lo=t_lo, _hi=t_hi, _la=math.log(alpha)):
         arr = np.asarray(t, dtype=float)
         tau = arr * _s
         phi, log_e = _d(np.clip(tau, _lo, _hi))
@@ -404,8 +400,8 @@ def solve_model(prob: ModelProblem) -> ModelSolution:
     sol = ModelSolution(
         prob,
         a_eff=prob.a,
-        b=b_n / scale,
-        t0=t0_n / scale,
+        b=b_n / alpha,
+        t0=t0_n / alpha,
         m_max=math.exp(log_m),
         phase_fn=phase_fn,
         diagnostics=diagnostics,
