@@ -60,8 +60,8 @@ def solve_divergence_form(p, n, a, lam):
 
     def rhs(t, y):
         w, v = y.tolist()
-        return [math.copysign(abs(v) ** e, v),
-                -(n - 1.0) * v / t - lam * math.copysign(abs(w) ** (p - 1.0), w)]
+        wp = math.copysign(abs(w) ** (p - 1.0), w)
+        return [math.copysign(abs(v) ** e, v), -(n - 1.0) * v / t - lam * wp]
 
     def ev_zero(t, y):
         return y[0]

@@ -77,11 +77,10 @@ def test_spherical_oracle_n3():
     assert np.max(np.abs(sol.w(ts) - (-np.sin(ts) / ts))) < 1e-9
 
 
-# Cases of the divergence-form cross-check: six at assorted lam; the
-# removed scale-covariance and a = 0 start checks, where solve_model's
-# integration at lam = p-1, rescaled by alpha, meets the oracle's at the
-# requested lam; the verify model grid; p = 1.1; the first 60 points of
-# the seeded sweep.
+# Cases of the divergence-form cross-check: nine at lam != p-1, where
+# solve_model's integration at lam = p-1, rescaled by alpha, meets the
+# oracle's at the requested lam (three from a = 0); the verify model
+# grid; p = 1.1; the first 60 points of the seeded sweep.
 _CROSS_CASES = [
     (1.5, 2, 0.0, 1.0),
     (1.5, 3, 0.7, 0.5),
@@ -92,10 +91,14 @@ _CROSS_CASES = [
     (2.5, 2, 0.4, 3.7),
     (1.5, 3, 0.0, 0.2),
     (1.5, 3, 0.0, 1.0),
-] + [(p, n, a, p - 1.0) for p, n in verify._PN_FULL for a in verify._A_FULL] + [
+] + [
+    (p, n, a, p - 1.0) for p, n in verify._PN_FULL for a in verify._A_FULL
+] + [
     (1.1, n, a, 0.1) for n in (2.0, 3.0) for a in (0.0, 0.5, 1.0, 10.0)
-] + [pytest.param(p, n, a, p - 1.0, id=f"sweep{i}")
-     for i, (p, n, a) in enumerate(paper_sweep(60))]
+] + [
+    pytest.param(p, n, a, p - 1.0, id=f"sweep{i}")
+    for i, (p, n, a) in enumerate(paper_sweep(60))
+]
 
 
 @pytest.mark.parametrize("p,n,a,lam", _CROSS_CASES)

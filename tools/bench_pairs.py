@@ -7,15 +7,16 @@ Each checkout's cached bytecode under `src/` is removed first: the
 workers run with PYTHONDONTWRITEBYTECODE=1, so a side that kept its
 `__pycache__` would skip the compile that the other side pays at every
 worker start.  Each pair then runs `perfbench/run.py --trace 0` once in
-each checkout, one after the other, for the `run_seconds` that the change's BENCHMARK.json
-fixes; the side that runs first alternates from pair to pair, so a
-slow drift of the host's speed falls on both sides alike.  Every run is
-one JSON line of end-to-end metrics (the last line of its stdout).  The
-output file keeps, per workload, the run length, every pair's metrics,
-each side's median and quartiles, and how many pairs the change won on
-each metric (by the direction BENCHMARK.json gives it) or tied, plus
-the machine and the Python, numpy and scipy versions.  Workloads
-already in the output file are kept, so one file holds several.
+each checkout, one after the other, for the `run_seconds` that the
+change's BENCHMARK.json fixes; the side that runs first alternates from
+pair to pair, so a slow drift of the host's speed falls on both sides
+alike.  Every run is one JSON line of end-to-end metrics (the last line
+of its stdout).  The output file keeps, per workload, the run length,
+every pair's metrics, each side's median and quartiles, and how many
+pairs the change won on each metric (by the direction BENCHMARK.json
+gives it) or tied, plus the machine and the Python, numpy and scipy
+versions.  Workloads already in the output file are kept, so one file
+holds several.
 
 The run ends with one verdict line per metric:
 
