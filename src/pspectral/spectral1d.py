@@ -10,10 +10,12 @@ The first nontrivial eigenvalue of the p-Laplacian is computed two ways:
   quotient sum(cell_w |Du|^p) / sum(w |u|^p) over the zero-p-mean
   constraint set.  On segments and radial domains it is a root of the
   bordered system F = D^T(cell_w spow(Du, p-1)) - lam w spow(u, p-1),
-  sum(w |u|^p) = 1 in (u, lam), found by damped Newton with sparse
-  solves (Keller's bordering), started at p = 2 and continued in
-  log(p - 1) to the target p (Allgower & Georg); this path uses no
-  random numbers.  The circle, whose discrete problem has one critical
+  sum(w |u|^p) = 1 in (u, lam) (Keller's bordering), found by damped
+  Newton, started at p = 2 and continued in log(p - 1) to the target p
+  (Allgower & Georg); this path uses no random numbers.  Each Newton
+  step is one banded LU (LAPACK dgbsv) of an equivalent system with
+  three unknowns per node, whose bandwidths do not depend on the border
+  (_Bordered).  The circle, whose discrete problem has one critical
   point per mesh phase, and every case where Newton fails (p near 1, a
   floating-point error, a singular Jacobian, a spent step budget, or
   other than one sign change) run the descent: projected,
@@ -38,12 +40,10 @@ closed-form lower bounds for the gap.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.linalg.lapack import dgbsv
 
 from ._util import guarded, spow
 from .model1d import INFINITY, ModelProblem, ModelSolution, PParams, solve_model
@@ -568,20 +568,32 @@ class _Bordered:
 
     with D the forward difference.  F's rows sum to -lam sum(w spow(u,
     p-1)), because D maps constants to 0, so a root has zero p-mean
-    without a row of its own.  The Jacobian is tridiagonal plus the
-    border column -w spow(u, p-1) and the border row p w spow(u, p-1).
+    without a row of its own.  The Jacobian is tridiagonal (T) plus the
+    border column -wu and the border row p wu, wu = w spow(u, p-1).
     Only the Jacobian regularizes |x|^(p-2), as (x^2 + eps^2)^((p-2)/2)
     with eps = _JAC_EPS; F and G keep the exact signed powers.
+
+    newton_step solves an equivalent banded system in three unknowns
+    per node i, (x_i, mu_i, s_i) in that order:
+
+        T x - wu_i mu_i = -F_i              (node row, index 3i),
+        mu_i - mu_(i+1) = 0, i < N-1        (copy chain, index 3i+1),
+        s_(N-1) = -G                        (closure, index 3N-2),
+        s_i - s_(i-1) - p wu_i x_i = 0      (running sum, index 3i+2),
+
+    so every mu_i equals dlam and s_(N-1) carries the border row.  Its
+    bandwidths are kl = ku = 3, and partial pivoting keeps the fill in
+    the band.  ab holds the constant +-1 entries in dgbsv's band storage
+    (entry (r, c) at ab[6 + r - c, c]; rows 0-2 are the fill); dgbsv
+    factors a copy, so a step rewrites only the entries that vary.
     """
 
     def __init__(self, dom: Domain1D):
         self.dom, self.w, self.cw = dom, dom.weights, dom.cell_weights
-        N = dom.N
-        c, i, b = np.arange(N - 1), np.arange(N), np.full(N, N)
-        # cell c couples nodes c and c+1; duplicates sum in the csc build
-        self.rows = np.concatenate([c, c, c + 1, c + 1, i, i, b])
-        self.cols = np.concatenate([c, c + 1, c, c + 1, i, b, i])
-        self.shape = (N + 1, N + 1)
+        self.ab = ab = np.zeros((10, 3 * dom.N), order="F")
+        ab[6, 1:-3:3], ab[3, 4::3] = 1.0, -1.0  # copy chain
+        ab[5, -1] = 1.0  # closure
+        ab[6, 2::3], ab[9, 2:-3:3] = 1.0, -1.0  # running sum
 
     def residual(self, u: np.ndarray, lam: float, p: float):
         """(F, G, size), size = max(|F|_1 / (|lam| sum(w |u|^(p-1))),
@@ -595,31 +607,30 @@ class _Bordered:
         return F, G, max(size, abs(G))
 
     def newton_step(self, u: np.ndarray, lam: float, p: float, F, G):
-        """The Newton step (du, dlam) of (F, G) at (u, lam).
-
-        The border row is scaled by the power of two that puts it 2^-50
-        below the cell couplings, so partial pivoting never picks it.  A
-        pivot there fills the factors where u's block is near singular:
-        150k-350k entries on radial domains at N = 2000, against 14k.
-        The natural column order keeps the border last."""
+        """The Newton step (du, dlam) of (F, G) at (u, lam): one banded
+        LU (LAPACK dgbsv) of the three-unknowns-per-node system, into
+        which it writes T's three diagonals and the two wu strips."""
         du = self.dom.diff(u)
         a, e2 = 0.5 * p - 1.0, _JAC_EPS ** 2
         k = self.cw * (p - 1.0) * (du * du + e2) ** a / self.dom.spacing ** 2
-        diag = -lam * (p - 1.0) * self.w * (u * u + e2) ** a
+        main = -lam * (p - 1.0) * self.w * (u * u + e2) ** a
+        main[:-1] += k
+        main[1:] += k
         wu = self.w * spow(u, p - 1.0)
-        scale = math.ldexp(1.0, math.frexp(float(k.max()))[1]
-                           - math.frexp(float(np.abs(wu).max()))[1] - 50)
-        data = np.concatenate([k, -k, -k, k, diag, -wu, (scale * p) * wu])
-        J = sparse.csc_matrix((data, (self.rows, self.cols)), shape=self.shape)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            try:
-                d = spsolve(J, -np.append(F, scale * G), permc_spec="NATURAL")
-            except (MatrixRankWarning, RuntimeError) as exc:
-                raise _NewtonFailure(f"singular Jacobian ({exc})") from None
+        ab = self.ab
+        ab[6, 0::3] = main
+        ab[3, 3::3] = ab[9, 0:-3:3] = -k
+        ab[5, 1::3] = -wu
+        ab[8, 0::3] = -p * wu
+        b = np.zeros(ab.shape[1])
+        b[0::3] = -F
+        b[-2] = -G
+        d, info = dgbsv(3, 3, ab, b)[2:]
+        if info > 0:
+            raise _NewtonFailure(f"singular Jacobian (zero pivot {info})")
         if not np.all(np.isfinite(d)):
             raise _NewtonFailure("non-finite Newton step")
-        return d[:-1], float(d[-1])
+        return d[0::3], float(d[1])
 
     def stage(self, u: np.ndarray, lam: float, p: float):
         """Damped Newton at one p from (u, lam): each step is halved until

@@ -11,7 +11,9 @@ in its original arithmetic, against which the library's lean inner loop
 is checked bit for bit; and barrier_reference, the certificate barrier
 integrated alone with X read from the phase solution at every step.
 dop853_reference runs scipy's own DOP853 on a problem handed to the
-package's float-native integrator (pspectral._dop853.solve).
+package's float-native integrator (pspectral._dop853.solve), and
+bordered_step_reference solves the eigensolver's bordered Newton system
+as the sparse route built it, densely.
 paper_sweep draws the seeded sweep over the paper's range that the
 model and certificate tests share.
 """
@@ -24,6 +26,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.sparse import coo_matrix
 
 
 # offset from a of the divergence-form oracle's start
@@ -398,3 +401,25 @@ def dop853_reference(fun, t0, t_bound, y0, rtol, atol, events=()):
                      events=[wrap(ev) for ev in events] or None,
                      dense_output=True)
 
+
+def bordered_step_reference(dom, u, lam, p, F, G, eps):
+    """(du, dlam, J): the Newton step of the bordered eigen-system of a
+    segment or radial domain at (u, lam) for the residual (F, G), and
+    its Jacobian J.  J is assembled as the sparse route did it, in COO
+    form (cell c couples nodes c and c+1, duplicate entries summed),
+    with |x|^(p-2) regularized as (x^2 + eps^2)^((p-2)/2) and the border
+    unscaled, and the step is solved densely (np.linalg.solve)."""
+    N = dom.N
+    Du = np.diff(u) / dom.spacing
+    a = 0.5 * p - 1.0
+    k = dom.cell_weights * (p - 1.0) * (Du * Du + eps * eps) ** a \
+        / dom.spacing ** 2
+    diag = -lam * (p - 1.0) * dom.weights * (u * u + eps * eps) ** a
+    wu = dom.weights * spow(u, p - 1.0)
+    c, i, b = np.arange(N - 1), np.arange(N), np.full(N, N)
+    rows = np.concatenate([c, c, c + 1, c + 1, i, i, b])
+    cols = np.concatenate([c, c + 1, c, c + 1, i, b, i])
+    data = np.concatenate([k, -k, -k, k, diag, -wu, p * wu])
+    J = coo_matrix((data, (rows, cols)), shape=(N + 1, N + 1)).toarray()
+    d = np.linalg.solve(J, -np.append(F, G))
+    return d[:-1], float(d[-1]), J
