@@ -52,7 +52,6 @@ from .spectral1d import (
     solve_eigen_variational,
 )
 from .ptrig import (
-    PExponent,
     arctan_p,
     cos_p,
     inv_sin_p,
@@ -66,7 +65,6 @@ from .ptrig import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PExponent",
     "pi_p",
     "pi_p_quadrature",
     "sin_p",

@@ -46,25 +46,3 @@ def as_scalar_or_array(values, scalar: bool):
         return float(values)
     return values
 
-
-def json_safe(obj):
-    """JSON-safe copy: numpy scalars/arrays to python, non-finite floats
-    to strings."""
-    if isinstance(obj, dict):
-        return {str(k): json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    return obj

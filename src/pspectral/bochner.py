@@ -60,6 +60,8 @@ __all__ = [
 DEFAULT_STEP = 1e-2
 # Relative slack of hessian_inequality_check's lhs >= rhs: rounding only.
 _HESSIAN_TOL = 1e-10
+# Relative slack of eigen_estimate_check's lhs >= rhs.
+_EIGEN_TOL = 1e-8
 # Largest relative eigen-equation residual eigen_estimate_check accepts as
 # "the field is an eigenfunction here", measured with its own stencils.
 _EIGEN_PRE_TOL = 1e-5
@@ -327,7 +329,6 @@ def eigen_estimate_check(
     n: float,
     lam: float,
     step: float = DEFAULT_STEP,
-    tol: float = 1e-8,
 ):
     """Eigenfunction form of the Hessian bound.
 
@@ -339,7 +340,7 @@ def eigen_estimate_check(
     rhs = lam^2 |u|^(2p-2)/(n-1) + 2(p-1) lam/(n-1) u^(p-1)|g|^(p-2) A_u
           + n/(n-1) (p-1)^2 |g|^(2p-4) A_u^2 - lam (p-1)|u|^(p-2)|g|^p
           + lam (p-2) |g|^(p-2) A_u u^(p-1)
-    ok  = lhs >= rhs - tol * max(1, |lhs|, |rhs|)
+    ok  = lhs >= rhs - 1e-8 * max(1, |lhs|, |rhs|)
     """
     p = _pval(p)
     if n <= 1.0:
@@ -362,7 +363,7 @@ def eigen_estimate_check(
         - lam * (p - 1.0) * abs(u0) ** (p - 2.0) * gn**p
         + lam * (p - 2.0) * gn ** (p - 2.0) * a * up1
     )
-    ok = bool(lhs >= rhs - tol * max(1.0, abs(lhs), abs(rhs)))
+    ok = bool(lhs >= rhs - _EIGEN_TOL * max(1.0, abs(lhs), abs(rhs)))
     return lhs, rhs, ok
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import re
 import sys
@@ -59,16 +60,39 @@ def _csv_text(header, rows) -> str:
 
 
 def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
+    v = json_safe(v)
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
+    return v
+
+
+def json_safe(obj):
+    """JSON-safe copy: numpy scalars/arrays to python, non-finite floats
+    to strings."""
+    if isinstance(obj, dict):
+        return {str(k): json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [json_safe(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
         if math.isnan(f):
             return "nan"
-        return repr(f)
-    return v
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    return obj
+
+
+def report_json(report: dict) -> str:
+    """JSON text of a report (or any CLI payload): sorted keys, indent 2,
+    non-finite floats as strings."""
+    return json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
 
 
 def _emit(text: str, out: str | None):
@@ -82,7 +106,7 @@ def _emit(text: str, out: str | None):
 def _output(args, payload, header, rows):
     """Emit payload as JSON, or header and rows as CSV, per --format."""
     if args.format == "json":
-        _emit(verify_mod.report_json(payload), args.out)
+        _emit(report_json(payload), args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
 
@@ -302,7 +326,7 @@ def _cmd_verify(args) -> int:
     scope = "quick" if args.quick else "full"
     report = verify_mod.run_all(scope=scope, seed=args.seed)
     if args.format == "json":
-        _emit(verify_mod.report_json(report), args.out)
+        _emit(report_json(report), args.out)
     else:
         _emit(verify_mod.format_report(report), args.out)
     return 0 if report["passed"] else 1

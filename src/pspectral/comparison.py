@@ -263,11 +263,12 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     Divergence of f inside the window, a float overflow, a division by
     zero or a non-finite state in the barrier, and a side whose first
     step is already below the float spacing at t0 (t0 near 5e11 at
-    p = 1.5), are reported as a failed certificate (all verdicts
-    False), not an exception.  A solution with a = INFINITY or n <= 1
-    (where the slopes divide by n-1), or with lam^(1/(p-1)) = 0 in
-    floating point (p near 1), raises ValueError before any
-    integration.
+    p = 1.5), are reported as a failed certificate, not an exception:
+    slacks_positive and ordering, which read f, are False, while
+    kappa_positive and a3_small still read their own columns.  A
+    solution with a = INFINITY or n <= 1 (where the slopes divide by
+    n-1), or with lam^(1/(p-1)) = 0 in floating point (p near 1), raises
+    ValueError before any integration.
     """
     if sol.problem.a == INFINITY:
         raise ValueError("certificates require a finite left endpoint")
@@ -376,21 +377,19 @@ def build_certificate(sol: ModelSolution) -> Certificate:
     left = ts < t0 - band
     right = ts > t0 + band
     finite_f = np.isfinite(cols["f"]).all() and not blew_up
-    if finite_f:
-        verdict = {
-            "slacks_positive": bool(
-                (cols["slack1"] > 0).all() and (cols["slack2"] > 0).all()
-            ),
-            "ordering": bool(
-                (cols["f"][left] < cols["y1"][left]).all()
-                and (cols["f"][right] > cols["y1"][right]).all()
-            ),
-            "kappa_positive": bool((cols["kappa"] > 0).all()),
-            "a3_small": bool((np.abs(cols["a3_residual"]) <= _A3_TOL).all()),
-        }
-    else:
-        verdict = {k: False for k in
-                   ("slacks_positive", "ordering", "kappa_positive", "a3_small")}
+    verdict = {
+        "slacks_positive": bool(
+            finite_f
+            and (cols["slack1"] > 0).all() and (cols["slack2"] > 0).all()
+        ),
+        "ordering": bool(
+            finite_f
+            and (cols["f"][left] < cols["y1"][left]).all()
+            and (cols["f"][right] > cols["y1"][right]).all()
+        ),
+        "kappa_positive": bool((cols["kappa"] > 0).all()),
+        "a3_small": bool((np.abs(cols["a3_residual"]) <= _A3_TOL).all()),
+    }
 
     # secondary check: differenced f agrees with the right-hand side
     fd_dev = 0.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -26,7 +25,6 @@ from scipy.special import betainc, betaincinv, gamma
 from ._util import as_scalar_or_array
 
 __all__ = [
-    "PExponent",
     "pi_p",
     "pi_p_quadrature",
     "sin_p",
@@ -39,32 +37,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PExponent:
-    """A validated exponent p for the p-trigonometric family.
-
-    Rejects p <= 1 and non-finite values at construction.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError(f"exponent must be finite, got {self.value!r}")
-        if v <= 1.0:
-            raise ValueError(f"exponent must satisfy p > 1, got {v}")
-        object.__setattr__(self, "value", v)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _pval(p) -> float:
-    """Coerce a PExponent or plain number to a validated float."""
-    if isinstance(p, PExponent):
-        return p.value
-    return PExponent(float(p)).value
+    """p as a float, rejected unless finite and > 1."""
+    pv = float(p)
+    if 1.0 < pv < math.inf:
+        return pv
+    if not math.isfinite(pv):
+        raise ValueError(f"exponent must be finite, got {pv!r}")
+    raise ValueError(f"exponent must satisfy p > 1, got {pv}")
 
 
 @functools.lru_cache(maxsize=128)

@@ -5,11 +5,12 @@ closed-form special-function values, the comparison ODE's window and
 phase properties, the inequality certificate, the finite-difference
 operator identities, the discrete eigensolvers, and the bounds table.
 
-Each criterion is called as criterion_N(scope, cache) and returns a
-CriterionResult; run_all assembles them into a deterministic report (no
-timestamps, fixed seeds) so that two runs with the same configuration
-emit byte-identical output.  scope="quick" uses reduced grids for a fast
-smoke pass; scope="full" runs the complete grids.
+Each criterion is called as criterion_N(scope, cache) and returns its
+report entry {"id", "name", "passed", "details"}; run_all assembles the
+entries into a deterministic report (no timestamps, fixed seeds) so that
+two runs with the same configuration emit byte-identical output.
+scope="quick" uses reduced grids for a fast smoke pass; scope="full"
+runs the complete grids.
 
 Each criterion measures, and GATES judges.  GATES maps a criterion id
 to {detail key: (kind, bound)}: a "max" gate holds when the reported
@@ -35,12 +36,8 @@ call time, so a tracer that rebinds those globals sees every solve.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
-from ._util import json_safe
 from .bochner import (
     ScalarField,
     bochner_residual,
@@ -63,8 +60,8 @@ from .spectral1d import (
     solve_eigen_variational,
 )
 
-__all__ = ["CriterionResult", "Cache", "run_all", "format_report",
-           "CRITERIA", "DEFAULT_SEED", "GATES"]
+__all__ = ["Cache", "run_all", "format_report", "CRITERIA", "DEFAULT_SEED",
+           "GATES"]
 
 DEFAULT_SEED = 20260824
 
@@ -74,22 +71,6 @@ _PN_FULL = [(1.5, 2.0), (1.5, 3.0), (2.0, 2.0), (2.0, 3.0), (3.0, 2.0),
 _A_FULL = [0.1, 1.0, 10.0, 100.0]
 _PN_QUICK = [(2.0, 3.0), (3.0, 2.0)]
 _A_QUICK = [1.0, 100.0]
-
-
-@dataclass
-class CriterionResult:
-    cid: int
-    name: str
-    passed: bool
-    details: dict = dc_field(default_factory=dict)
-
-    def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        extra = " ".join(
-            f"{k}={v}" for k, v in sorted(self.details.items())
-            if isinstance(v, (int, float, str)) and not isinstance(v, bool)
-        )
-        return f"criterion {self.cid:02d} {self.name:<42} {mark}  {extra}".rstrip()
 
 
 def _fmt(x: float) -> str:
@@ -114,18 +95,18 @@ GATES = {
 }
 
 
-def _judge(cid: int, name: str, measured: dict, ok: bool,
-           **shown) -> CriterionResult:
-    """Criterion cid's result: passed when ok (its structural checks)
-    holds and every gate of GATES[cid] holds on its measured value.
-    The details are the measured values, floats in _fmt, then shown,
-    which may also give a measured value another printed form."""
+def _judge(cid: int, name: str, measured: dict, ok: bool, **shown) -> dict:
+    """Criterion cid's report entry: passed when ok (its structural
+    checks) holds and every gate of GATES[cid] holds on its measured
+    value.  The details are the measured values, floats in _fmt, then
+    shown, which may also give a measured value another printed form."""
     for key, (kind, bound) in GATES.get(cid, {}).items():
         value = measured[key]
         ok = ok and bool(value <= bound if kind == "max" else value >= bound)
     details = {k: _fmt(v) if isinstance(v, float) else v
                for k, v in measured.items()}
-    return CriterionResult(cid, name, bool(ok), {**details, **shown})
+    return {"id": cid, "name": name, "passed": bool(ok),
+            "details": {**details, **shown}}
 
 
 # the one domain of each kind that criteria 3 and 10-12 solve on
@@ -451,34 +432,31 @@ def run_all(scope: str = "full", seed: int = DEFAULT_SEED,
     if scope not in ("quick", "full"):
         raise ValueError("scope must be 'quick' or 'full'")
     cache = Cache(seed=seed)
-    results = [fn(scope, cache) for fn in CRITERIA
+    entries = [fn(scope, cache) for fn in CRITERIA
                if include_determinism or fn is not criterion_14]
-    return {
-        "scope": scope,
-        "seed": seed,
-        "passed": all(r.passed for r in results),
-        "criteria": [
-            {"id": r.cid, "name": r.name, "passed": r.passed,
-             "details": r.details}
-            for r in results
-        ],
-    }
+    return {"scope": scope, "seed": seed,
+            "passed": all(c["passed"] for c in entries),
+            "criteria": entries}
+
+
+def _line(c: dict) -> str:
+    """A report entry's line: id, name, verdict, then its details that
+    are numbers or strings, sorted by key."""
+    mark = "PASS" if c["passed"] else "FAIL"
+    extra = " ".join(
+        f"{k}={v}" for k, v in sorted(c["details"].items())
+        if isinstance(v, (int, float, str)) and not isinstance(v, bool)
+    )
+    return f"criterion {c['id']:02d} {c['name']:<42} {mark}  {extra}".rstrip()
 
 
 def format_report(report: dict) -> str:
     lines = [f"verification suite  scope={report['scope']}  "
              f"seed={report['seed']}"]
-    for c in report["criteria"]:
-        r = CriterionResult(c["id"], c["name"], c["passed"], c["details"])
-        lines.append(r.line())
+    lines += [_line(c) for c in report["criteria"]]
     n_pass = sum(1 for c in report["criteria"] if c["passed"])
     total = len(report["criteria"])
     lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
                  f"({n_pass}/{total})")
     return "\n".join(lines) + "\n"
 
-
-def report_json(report: dict) -> str:
-    """JSON text of a report (or any CLI payload): sorted keys, indent 2,
-    non-finite floats as strings."""
-    return json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"

@@ -35,9 +35,10 @@ def cache():
     return verify.Cache(seed=verify.DEFAULT_SEED)
 
 
-def _check(result):
-    print(result.line())
-    assert result.passed, result.line()
+def _check(entry):
+    line = verify._line(entry)
+    print(line)
+    assert entry["passed"], line
 
 
 def test_criterion_01_half_period_closed_form(cache):
@@ -140,7 +141,7 @@ def quick_measured():
     verify._judge = spy
     try:
         for cid in verify.GATES:
-            assert verify.CRITERIA[cid - 1]("quick", cache).passed, cid
+            assert verify.CRITERIA[cid - 1]("quick", cache)["passed"], cid
     finally:
         verify._judge = judge
     return cache, measured
@@ -157,10 +158,10 @@ def test_each_gate_decides_its_criterion(quick_measured, monkeypatch, cid,
     kind, _ = verify.GATES[cid][key]
     value = measured[cid][key]
     monkeypatch.setitem(verify.GATES[cid], key, (kind, value))
-    assert criterion("quick", cache).passed
+    assert criterion("quick", cache)["passed"]
     past = np.nextafter(value, -np.inf if kind == "max" else np.inf)
     monkeypatch.setitem(verify.GATES[cid], key, (kind, past))
-    assert not criterion("quick", cache).passed
+    assert not criterion("quick", cache)["passed"]
 
 
 def test_nan_in_one_case_fails_its_criterion():
@@ -174,9 +175,9 @@ def test_nan_in_one_case_fails_its_criterion():
                 return dataclasses.replace(res, lam=float("nan"))
             return res
 
-    result = verify.criterion_11("quick", NanCache())
-    assert not result.passed
-    assert result.details["max_rel"] == "nan"
+    entry = verify.criterion_11("quick", NanCache())
+    assert not entry["passed"]
+    assert entry["details"]["max_rel"] == "nan"
 
 
 def _bench_module(name, monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import importlib
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pspectral
-from pspectral import verify
+from pspectral import cli, verify
 from pspectral.bochner import catalog
 from pspectral.cli import build_parser, main
 
@@ -229,11 +230,14 @@ def test_certify_rejects_n_at_most_one():
 def test_certify_far_window_is_a_failed_certificate():
     # at a = 5.5e11 the barrier's first step is below the float spacing
     # at t0 on both sides; reading the stepless dense output raised an
-    # IndexError traceback
+    # IndexError traceback; the verdicts that read the barrier fail
     code, out, err = run_module("certify", "--p", "1.5", "--n", "2",
                                 "--a", "549755813886.0")
     assert (code, err) == (1, "")
-    assert not any(json.loads(out)["verdict"].values())
+    doc = json.loads(out)
+    assert not doc["verdict"]["slacks_positive"]
+    assert not doc["verdict"]["ordering"]
+    assert doc["all_ok"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -636,6 +640,28 @@ def test_report_json_non_finite_is_valid_json():
     def refuse(name):
         raise ValueError(f"bare {name} in JSON output")
 
-    text = verify.report_json({"x": float("nan"), "y": [np.inf, -np.inf]})
+    text = cli.report_json({"x": float("nan"), "y": [np.inf, -np.inf]})
     doc = json.loads(text, parse_constant=refuse)
     assert doc == {"x": "nan", "y": ["inf", "-inf"]}
+
+
+_MIXED = {"x": 0.1, "y": np.float64(-2.5), "nan": math.nan,
+          "np_nan": np.float64("nan"), "inf": math.inf,
+          "np_ninf": np.float64(-np.inf), "flag": np.bool_(True),
+          "off": False, "count": np.int64(7), "name": "a,b", "none": None}
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "x,y,nan,np_nan,inf,np_ninf,flag,off,count,name,none\n"
+            '0.1,-2.5,nan,nan,inf,-inf,true,false,7,"a,b",\n'),
+    ("json", '{\n  "count": 7,\n  "flag": true,\n  "inf": "inf",\n'
+             '  "name": "a,b",\n  "nan": "nan",\n  "none": null,\n'
+             '  "np_nan": "nan",\n  "np_ninf": "-inf",\n  "off": false,\n'
+             '  "x": 0.1,\n  "y": -2.5\n}\n'),
+])
+def test_output_of_mixed_python_and_numpy_values(capsys, fmt, text):
+    # one value of each kind a payload carries, in both formats
+    header = list(_MIXED)
+    cli._output(argparse.Namespace(format=fmt, out=None), _MIXED, header,
+                [[_MIXED[k] for k in header]])
+    assert capsys.readouterr().out == text

@@ -349,11 +349,18 @@ def _fail_after(kind, t_bad):
 def test_barrier_float_failure_is_a_failed_certificate(ref_sol, monkeypatch,
                                                        kind):
     # a float overflow or a non-finite state in the barrier right-hand
-    # side, here past t_bad on the forward side, fails the certificate
+    # side, here past t_bad on the forward side, fails the certificate:
+    # the verdicts that read f fail, kappa and a3 read their own columns
     t_bad = ref_sol.t0 + 0.3 * (ref_sol.b - ref_sol.t0)
     monkeypatch.setattr(comparison, "_x_rate", _fail_after(kind, t_bad))
     cert = build_certificate(ref_sol)
-    assert not any(cert.verdict.values())
+    assert not cert.verdict["slacks_positive"]
+    assert not cert.verdict["ordering"]
+    assert not cert.all_ok
+    g = cert.grid
+    assert cert.verdict["kappa_positive"] == bool((g["kappa"] > 0).all())
+    assert cert.verdict["a3_small"] == bool(
+        (np.abs(g["a3_residual"]) <= comparison._A3_TOL).all())
     assert cert.diagnostics["f_blowup"] is True
     assert cert.diagnostics["nfev_forward"] > 0
     f = cert.f_dense(np.array([ref_sol.t0 - 0.1, ref_sol.t0 + 0.1]))
@@ -416,8 +423,9 @@ def test_law_x_matches_the_phase_solution(known_certs, case):
 
 # The first 60 points of the seeded sweep over the paper's range that
 # fail the certificate or kappa_check's bounds.  All but 30 fail only
-# `ordering` (every one at p > 5); 30 = (1.785, 7.49, 0.071) fails all
-# four verdicts, where the barrier blows up.  A fix shrinks this set; no
+# `ordering` (every one at p > 5); 30 = (1.785, 7.49, 0.071) fails
+# `slacks_positive` and `ordering`, where the barrier blows up (its kappa
+# and a3 columns pass).  A fix shrinks this set; no
 # bound may widen to empty it.  Point 58 (p = 1.204) passes: a3_residual
 # takes w = 0 exactly at the grid point t0, so the rounding residual of
 # w(t0), lifted to the power 0.204, no longer decides `a3_small` there
@@ -437,4 +445,7 @@ def test_certificate_sweep_over_the_paper_range():
                 and kk["kappa_t0_rel_err"] <= gates["kappa_t0_rel"][1]
                 and kk["max_rel_deviation"] <= gates["kappa_rate_rel"][1]):
             failed.add(i)
+        if i == 30:
+            assert {k for k, ok in cert.verdict.items() if not ok} == {
+                "slacks_positive", "ordering"}
     assert failed == _SWEEP_FAILURES

@@ -151,7 +151,8 @@ def test_division_by_zero_in_the_barrier_fails_the_certificate(monkeypatch):
     monkeypatch.setattr(comparison, "_x_rate", x_rate)
     cert = build_certificate(sol)
     assert cert.diagnostics["f_blowup"] is True
-    assert not any(cert.verdict.values())
+    assert not cert.verdict["slacks_positive"] and not cert.verdict["ordering"]
+    assert not cert.all_ok
 
 
 def test_step_counts_in_the_diagnostics():

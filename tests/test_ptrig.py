@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 from oracles import pi_p_mp, sin_cos_p_mp
+from pspectral import (
+    DiscreteFunction,
+    PParams,
+    bochner_residual,
+    bounds_table,
+    build_domain,
+    catalog,
+    rayleigh_quotient,
+    solve_eigen_shooting,
+    solve_eigen_variational,
+)
 from pspectral.ptrig import (
-    PExponent,
     arctan_p,
     cos_p,
     inv_sin_p,
@@ -22,16 +32,36 @@ from pspectral.ptrig import (
 P_GRID = [1.2, 1.5, 2.0, 3.0, 5.0]
 
 
-def test_exponent_validation():
-    PExponent(1.5)
-    with pytest.raises(ValueError):
-        PExponent(1.0)
-    with pytest.raises(ValueError):
-        PExponent(0.3)
-    with pytest.raises(ValueError):
-        PExponent(float("inf"))
-    with pytest.raises(ValueError):
-        PExponent(float("nan"))
+_RADIAL = build_domain("radial", 16, R=1.0, n=3.0)
+_FIELD = catalog()["poly_2d_a"]
+# every public entry that takes p, called at p
+_TAKES_P = {
+    "pi_p": lambda p: pi_p(p),
+    "sin_cos_p": lambda p: sin_cos_p(0.5, p),
+    "inv_sin_p": lambda p: inv_sin_p(0.5, p),
+    "PParams": lambda p: PParams(p=p, n_dim=2.0),
+    "rayleigh_quotient": lambda p: rayleigh_quotient(
+        DiscreteFunction(_RADIAL, np.cos(np.pi * _RADIAL.nodes)), p),
+    "solve_eigen_variational": lambda p: solve_eigen_variational(_RADIAL, p),
+    "solve_eigen_shooting": lambda p: solve_eigen_shooting(_RADIAL, p),
+    "bounds_table": lambda p: bounds_table(p, 1.0),
+    "bochner_residual": lambda p: bochner_residual(_FIELD.field,
+                                                   _FIELD.point, p),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TAKES_P))
+def test_every_entry_rejects_the_same_bad_p(entry):
+    call = _TAKES_P[entry]
+    for bad, message in [
+            (1.0, "exponent must satisfy p > 1, got 1.0"),
+            (0.3, "exponent must satisfy p > 1, got 0.3"),
+            (math.inf, "exponent must be finite, got inf"),
+            (math.nan, "exponent must be finite, got nan")]:
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == message, bad
+    call(np.float64(1.5))  # a numpy scalar p is accepted
 
 
 def test_pi_p_closed_form_values():
@@ -63,10 +93,6 @@ def test_pi_p_against_mpmath():
     for p in [1.001, 1.0001, 1.00001, 1.0 + 1e-6]:
         ref = pi_p_mp(p)
         assert abs(pi_p_quadrature(p) - ref) / ref <= 1e-13, f"p={p!r}"
-
-
-def test_pi_p_accepts_pexponent():
-    assert pi_p(PExponent(2.0)) == pi_p(2.0)
 
 
 def test_identity_residual_on_grid():
